@@ -51,7 +51,7 @@ from .losses import (
     loss_mixture,
 )
 from .meanfield import MeanFieldIntegrationError, MeanFieldState, integrate
-from .model import ModelKind, TwoModeParams, build_hamiltonian
+from .model import FockState, ModelKind, TwoModeParams, build_hamiltonian
 from .observables import (
     UndefinedCriterionError,
     crossover_coupling,
@@ -271,7 +271,8 @@ def _cmd_meanfield(resolved: dict) -> None:
 def _cmd_losses(resolved: dict) -> None:
     kind = _model_kind(resolved["model"])
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
-    _, state = ground_state(build_hamiltonian(params))
+    # full solve, not ground_state: exact tails would multiply the rows printed below
+    state = FockState(eigen_decompose(build_hamiltonian(params)).vectors[:, 0].astype(complex))
     ch = LossChannel(eta_a=float(resolved["eta_a"]), eta_b=float(resolved["eta_b"]))
 
     la, lb = resolved["la"], resolved["lb"]

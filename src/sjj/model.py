@@ -67,7 +67,7 @@ class TwoModeParams:
             warnings.warn(
                 "SJJ with coupling 0 is a formal limit: bright solitons "
                 "require nonzero nonlinearity",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
 

@@ -244,11 +244,6 @@ def refine_minimum(
     return best_x, best_v, evaluated
 
 
-def _ground_probs(kind: ModelKind, n_total: int, coupling: float) -> np.ndarray:
-    _, state = ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
-    return state.probabilities
-
-
 def cj_scan(kind: ModelKind, n_total: int, grid: np.ndarray, refine_to: float = 1e-5) -> CJScanResult:
     """Minimum of the first-order witness over a coupling grid, with local
     refinement of the argmin down to a step of refine_to."""

@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different computational route from the
 library code it checks: dense cyclic Jacobi rotations for the tridiagonal
-eigensolver, explicit fixed-step integration for the spectral propagator,
+eigensolver, extended-precision Sturm bisection and recurrence for the
+ground-state tails, explicit fixed-step integration for the spectral propagator,
 dense ladder-operator matrices for the moment-based witnesses, and scipy's
 adaptive integrators for the mean-field flow and the overlap quadrature.
 """
@@ -165,3 +166,56 @@ def random_balanced_state(rng: np.random.Generator, n_total: int) -> np.ndarray:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_total + 1)
     amps = mags * np.exp(1j * phases)
     return amps / np.linalg.norm(amps)
+
+
+def mp_ground_log10_probs(diag: np.ndarray, offdiag: np.ndarray, dps: int = 40) -> np.ndarray:
+    """log10 p_n of the ground state of a mirror-symmetric chain, in mpmath.
+
+    E_0 comes from Sturm-count bisection and the amplitudes from the
+    three-term recurrence started at the edge n = 0 and run to the centre,
+    then mirrored; no LAPACK.  The recurrence grows from the edge only while
+    the distribution is unimodal, so this holds below the crossover.  The
+    computation is repeated at twice the precision and refused if it moved.
+    """
+    import mpmath
+
+    def log10_probs(prec_dps: int) -> np.ndarray:
+        with mpmath.workdps(prec_dps):
+            d = [mpmath.mpf(float(x)) for x in diag]
+            b = [mpmath.mpf(float(x)) for x in offdiag]
+            b2 = [x * x for x in b]
+
+            def count_below(x) -> int:
+                count, piv = 0, d[0] - x
+                for k in range(len(d)):
+                    if k:
+                        piv = d[k] - x - b2[k - 1] / (piv or mpmath.eps)
+                    count += piv < 0
+                return count
+
+            radius = 2 * max(abs(x) for x in b)
+            lo = min(d) - radius
+            hi = max(d) + radius
+            while hi - lo > mpmath.mpf(2) ** (8 - mpmath.mp.prec) * (1 + abs(hi)):
+                mid = (lo + hi) / 2
+                if count_below(mid) >= 1:
+                    hi = mid
+                else:
+                    lo = mid
+            energy = (lo + hi) / 2
+
+            n_total = len(d) - 1
+            amps = [mpmath.mpf(1)]
+            for n in range(n_total // 2):
+                prev = b[n - 1] * amps[n - 1] if n else 0
+                amps.append(((energy - d[n]) * amps[n] - prev) / b[n])
+            amps += amps[: n_total + 1 - len(amps)][::-1]
+            log_norm = mpmath.log10(mpmath.fsum(a * a for a in amps))
+            return np.array([float(2 * mpmath.log10(abs(a)) - log_norm) for a in amps])
+
+    ref = log10_probs(dps)
+    check = log10_probs(2 * dps)
+    moved = float(np.max(np.abs(ref - check)))
+    if moved > 1e-12:
+        raise ArithmeticError(f"reference moved by {moved:.3g} dex between {dps} and {2 * dps} digits")
+    return check

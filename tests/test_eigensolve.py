@@ -15,9 +15,13 @@ from sjj import (
     ground_state,
     propagate,
 )
-from oracles import dense_from_tridiagonal, jacobi_eigh, rk4_schrodinger
+from sjj import eigensolve
+from oracles import dense_from_tridiagonal, jacobi_eigh, mp_ground_log10_probs, rk4_schrodinger
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
+GROUND_SIZES = (1, 2, 3, 4, 5, 300, 301)
+# below, at and past both crossovers (SJJ 2.0009925, BJJ ~1.03 at N = 300)
+GROUND_COUPLINGS = (0.0, 0.5, 1.9, 2.0009925, 4.0)
 
 # closed forms for N=2 in units kappa*N: the antisymmetric level sits at
 # -c/2, the symmetric block gives (-c +- sqrt(c^2 + X))/4 with
@@ -135,6 +139,80 @@ def test_ground_state_symmetry_and_positivity():
         sig = np.abs(amps) > 1e-13
         assert np.all(amps[sig] > 0.0)
         assert np.all(amps > -1e-12)
+
+
+def _built(kind, n_total, coupling):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SJJ at coupling 0
+        return build_hamiltonian(TwoModeParams(kind, n_total, coupling))
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("coupling", GROUND_COUPLINGS)
+def test_ground_state_matches_full_solve(kind, coupling):
+    for n_total in GROUND_SIZES:
+        h = _built(kind, n_total, coupling)
+        energy, state = ground_state(h)
+        spec = eigen_decompose(h)
+        assert abs(energy - spec.energies[0]) <= 1e-14
+        assert np.max(np.abs(state.amps - spec.vectors[:, 0])) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("coupling", GROUND_COUPLINGS)
+def test_energy_gap_matches_full_solve(kind, coupling):
+    for n_total in GROUND_SIZES:
+        h = _built(kind, n_total, coupling)
+        energies = eigen_decompose(h).energies
+        assert abs(energy_gap(h) - (energies[1] - energies[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+def test_ground_state_amplitudes_strictly_positive(kind):
+    for n_total in (2, 3, 300, 301):
+        for coupling in GROUND_COUPLINGS:
+            _, state = ground_state(_built(kind, n_total, coupling))
+            assert np.all(state.amps.imag == 0.0)
+            assert np.all(state.amps.real > 0.0)
+
+
+@pytest.mark.parametrize("kind,coupling", [(SJJ, 0.0), (SJJ, 0.5), (SJJ, 1.9), (BJJ, 0.0), (BJJ, 0.5)])
+def test_ground_state_tails_match_extended_precision(kind, coupling):
+    # below the crossover, where the oracle's edge recurrence is stable;
+    # the smallest p_n here is ~1e-152
+    for n_total in (5, 300, 301):
+        h = _built(kind, n_total, coupling)
+        ref = mp_ground_log10_probs(h.diag, h.offdiag)
+        _, state = ground_state(h)
+        assert np.max(np.abs(np.log10(state.probabilities) - ref)) <= 1e-10
+
+
+def test_ground_state_hand_assembled_non_mirror():
+    # no mirror symmetry: the selected-pair solver's vector is returned as is
+    params = TwoModeParams(BJJ, 4, 1.0)
+    diag = np.array([0.3, -1.0, 0.2, 0.5, -0.1])
+    offdiag = np.array([-0.4, -0.2, -0.7, -0.3])
+    h = TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=params)
+    energy, state = ground_state(h)
+    w_ref, _ = jacobi_eigh(dense_from_tridiagonal(diag, offdiag))
+    assert abs(energy - w_ref[0]) <= 1e-12
+    resid = dense_from_tridiagonal(diag, offdiag) @ state.amps - energy * state.amps
+    assert np.max(np.abs(resid)) <= 1e-12
+    assert np.max(np.abs(state.amps - eigen_decompose(h).vectors[:, 0])) <= 1e-13
+    assert np.max(np.abs(state.probabilities - state.probabilities[::-1])) > 1e-3
+
+
+def test_ground_state_rebuild_disagreement_raises(monkeypatch):
+    lowest_pair = eigensolve._lowest_pair
+
+    def perturbed(h):
+        energies, vectors = lowest_pair(h)
+        energies[0] += 1e-9  # the recurrence then misses the eigenvector
+        return energies, vectors
+
+    monkeypatch.setattr(eigensolve, "_lowest_pair", perturbed)
+    with pytest.raises(eigensolve.EigensolveError, match="rebuilt ground vector"):
+        ground_state(build_hamiltonian(TwoModeParams(SJJ, 40, 1.0)))
 
 
 @pytest.mark.parametrize("kind", [SJJ, BJJ])

@@ -23,8 +23,9 @@ def test_params_validation():
         TwoModeParams(SJJ, 0, 1.0)
     with pytest.raises(ValueError):
         TwoModeParams(BJJ, 10, -0.5)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         TwoModeParams(SJJ, 10, 0.0)
+    assert all(w.filename == __file__ for w in record)
 
 
 def test_sjj_n2_coefficients():
