@@ -18,7 +18,14 @@ from .model import (
     apply_hamiltonian,
     build_hamiltonian,
 )
-from .eigensolve import Spectrum, eigen_decompose, energy_gap, ground_state, propagate
+from .eigensolve import (
+    Spectrum,
+    eigen_decompose,
+    eigenvalues,
+    energy_gap,
+    ground_state,
+    propagate,
+)
 from .meanfield import (
     MeanFieldState,
     SteadyState,
@@ -84,6 +91,7 @@ __all__ = [
     "apply_hamiltonian",
     "Spectrum",
     "eigen_decompose",
+    "eigenvalues",
     "ground_state",
     "propagate",
     "energy_gap",

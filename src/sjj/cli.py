@@ -21,8 +21,9 @@ produce byte-identical files.  A JSON config file (--config) supplies
 defaults for any flag (keys are flag names with '-' replaced by '_');
 explicit flags win over the config file, which wins over built-ins.  Sweeps
 run on a thread pool sized by --threads (fallback: SJJ_THREADS, then the
-available parallelism); results are assembled in grid order regardless of
-completion order.  JSON payload keys are documented in
+available parallelism); a count that is not a positive integer is a usage
+error, wherever it came from.  Results are assembled in grid order
+regardless of completion order.  JSON payload keys are documented in
 schemas/cli_output.schema.json.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
@@ -35,6 +36,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -42,7 +44,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .eigensolve import EigensolveError, eigen_decompose, ground_state
+from .eigensolve import EigensolveError, eigen_decompose, eigenvalues, ground_state
 from .hartree import cat_overlap, exact_branch_energy, stationary_solutions
 from .losses import (
     LossChannel,
@@ -167,13 +169,15 @@ def _emit_object(command: str, resolved: dict, payload: dict, path: str | None) 
     _write_text(path, json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
-def _thread_count(resolved: dict) -> int:
-    if resolved.get("threads") is not None:
-        return max(1, int(resolved["threads"]))
-    env = os.environ.get("SJJ_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _thread_count(value, source: str, parser: argparse.ArgumentParser) -> int:
+    """A worker count: a positive integer, else a usage error naming its source."""
+    try:
+        count = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        count = 0
+    if isinstance(value, bool) or count < 1:
+        parser.error(f"{source} must be a positive integer, got {value!r}")
+    return count
 
 
 def _parallel_map(fn, items, threads: int) -> list:
@@ -192,9 +196,9 @@ def _cmd_spectrum(resolved: dict) -> None:
     grid = _parse_grid(resolved["grid"])
 
     def point(coupling: float) -> np.ndarray:
-        return eigen_decompose(build_hamiltonian(TwoModeParams(kind, n, float(coupling)))).energies
+        return eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(coupling))))
 
-    spectra = _parallel_map(point, list(grid), _thread_count(resolved))
+    spectra = _parallel_map(point, list(grid), resolved["threads"])
     rows = [
         (float(c), k, float(e))
         for c, energies in zip(grid, spectra)
@@ -230,7 +234,7 @@ def _cmd_hz(resolved: dict) -> None:
     kind = _model_kind(resolved["model"])
     n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
-    threads = _thread_count(resolved)
+    threads = resolved["threads"]
 
     # couplings are keyed at 1e-12 resolution so refinement levels cannot
     # produce near-duplicate rows that collide at the printed precision
@@ -518,6 +522,14 @@ def _resolve(command: str, args: argparse.Namespace, parser: argparse.ArgumentPa
         parser.error(f"model must be sjj or bjj, got {resolved['model']!r}")
     if resolved.get("format") not in (None, "csv", "json"):
         parser.error(f"format must be csv or json, got {resolved['format']!r}")
+    if "threads" in resolved:
+        if getattr(args, "threads", None) is not None:
+            value, source = args.threads, "--threads"
+        elif resolved["threads"] is not None:
+            value, source = resolved["threads"], f"'threads' in config file {config_path}"
+        else:
+            value, source = os.environ.get("SJJ_THREADS") or os.cpu_count() or 1, "SJJ_THREADS"
+        resolved["threads"] = _thread_count(value, source, parser)
     return resolved
 
 

@@ -1,7 +1,11 @@
 """Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
 
 The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets the full
-spectrum from the LAPACK solvers wrapped by scipy (``eigh_tridiagonal``);
+spectrum, vectors included, from the LAPACK solvers wrapped by scipy
+(``eigh_tridiagonal``) and serves ``propagate`` and the loss channel;
+``eigenvalues`` gets the energies alone from the root-free QR iteration
+(LAPACK ``sterf``), splitting a mirror-symmetric chain exactly into its even
+and odd sectors under n -> N-n first, so each solve is half the size;
 ``ground_state`` and ``energy_gap`` need only the two lowest levels and get
 them from the selected-range solver (bisection plus inverse iteration,
 LAPACK ``stebz``/``stein``), which costs O(N) instead of O(N^2).  Two
@@ -31,6 +35,7 @@ underflow, and strictly positive above it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,7 @@ __all__ = [
     "Spectrum",
     "EigensolveError",
     "eigen_decompose",
+    "eigenvalues",
     "ground_state",
     "propagate",
     "energy_gap",
@@ -225,6 +231,48 @@ def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
     vectors.setflags(write=False)
     energies.setflags(write=False)
     return Spectrum(energies=energies, vectors=vectors)
+
+
+def _eigvalsh(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    try:
+        return scipy.linalg.eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolveError(f"tridiagonal eigenvalue solver did not converge: {exc}") from exc
+
+
+def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
+    """All energies of a tridiagonal Hamiltonian, ascending and read-only.
+
+    A mirror-symmetric chain (every built Hamiltonian) is split exactly into
+    its even and odd sectors under n -> N-n, in the basis
+    (|n> +- |N-n>)/sqrt(2), and each sector is solved on its own.  With
+    centre c = N//2, for N even the even sector is rows 0..c with the last
+    coupling scaled by sqrt(2) and the odd sector rows 0..c-1; for N odd both
+    are rows 0..c, the coupling across the centre added to the last diagonal
+    entry (even) or subtracted from it (odd).  Other matrices, and those
+    below dimension 3, are solved whole.  The energies agree with
+    ``eigen_decompose(h).energies`` to rounding.
+    """
+    diag, offdiag = h.diag, h.offdiag
+    dim = len(diag)
+    if dim < 3 or not _is_mirror(h):
+        energies = _eigvalsh(diag, offdiag)
+    else:
+        c = (dim - 1) // 2
+        if dim % 2:  # N even
+            even_off = offdiag[:c].copy()
+            even_off[-1] *= math.sqrt(2.0)
+            even = _eigvalsh(diag[: c + 1], even_off)
+            odd = _eigvalsh(diag[:c], offdiag[: c - 1])
+        else:
+            even_diag, odd_diag = diag[: c + 1].copy(), diag[: c + 1].copy()
+            even_diag[-1] += offdiag[c]
+            odd_diag[-1] -= offdiag[c]
+            even = _eigvalsh(even_diag, offdiag[:c])
+            odd = _eigvalsh(odd_diag, offdiag[:c])
+        energies = np.sort(np.concatenate((even, odd)))
+    energies.setflags(write=False)
+    return energies
 
 
 def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:

@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sjj.cli import main
 
@@ -155,6 +158,18 @@ def test_meanfield_numerical_failure_exit4(tmp_path):
     assert not out.exists()
 
 
+def test_spectrum_solver_failure_exit4(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+    out = tmp_path / "fail.csv"
+    rc = main(["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5",
+               "-o", str(out)])
+    assert rc == 4
+    assert not out.exists()
+
+
 def test_losses_zero_probability_exit3(tmp_path):
     out = tmp_path / "z.csv"
     rc = main(["losses", "--model", "sjj", "--n", "20", "--coupling", "4",
@@ -220,6 +235,48 @@ def test_config_precedence(tmp_path, capsys):
     assert meta["n"] == 10          # config beats built-in default
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_flag_is_usage_error(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--model", "bjj", "--n", "4", "--grid", "0:1:0.5",
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "hz"])
+@pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
+def test_bad_env_threads_is_usage_error(command, env, monkeypatch, capsys):
+    monkeypatch.setenv("SJJ_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "bjj", "--n", "4", "--grid", "0:1:0.5"])
+    assert exc.value.code == 2
+    assert f"SJJ_THREADS must be a positive integer, got {env!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", 0, -2, 1.5, True])
+def test_bad_config_threads_is_usage_error(value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--model", "bjj", "--n", "4", "--grid", "0:1:0.5",
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"'threads' in config file {cfg} must be a positive integer" in err
+
+
+def test_threads_flag_beats_bad_env(tmp_path, monkeypatch):
+    # the environment is a fallback only: an explicit flag never reads it
+    monkeypatch.setenv("SJJ_THREADS", "abc")
+    rc, _ = run(tmp_path, "f.csv", ["spectrum", "--model", "bjj", "--n", "4",
+                                    "--grid", "0:1:0.5", "--threads", "2"])
+    assert rc == 0
+    rc, _ = run(tmp_path, "g.csv", ["ground", "--model", "bjj", "--n", "4",
+                                    "--coupling", "1"])
+    assert rc == 0  # commands without a thread pool ignore it
+
+
 def test_env_threads(tmp_path, monkeypatch):
     argv = ["spectrum", "--model", "bjj", "--n", "30", "--grid", "0:2:0.5"]
     _, f1 = run(tmp_path, "e1.csv", argv)
@@ -244,3 +301,40 @@ def test_float_formatting(tmp_path):
     # 12 significant digits: sqrt(1/2) amplitude prints as 0.707106781187
     text = f.read_text()
     assert "0.707106781187" in text
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json").read_text()
+)
+
+JSON_COMMANDS = {
+    "spectrum": ["spectrum", "--model", "sjj", "--n", "6", "--grid", "0.5:2.5:1",
+                 "--format", "json"],
+    "ground": ["ground", "--model", "bjj", "--n", "6", "--coupling", "1", "--format", "json"],
+    "hz": ["hz", "--model", "sjj", "--n", "10", "--grid", "1.9:2.1:0.1", "--no-refine",
+           "--format", "json"],
+    "meanfield": ["meanfield", "--coupling", "2", "--z0", "0.3", "--tau-max", "0.01",
+                  "--format", "json"],
+    "losses": ["losses", "--model", "sjj", "--n", "10", "--coupling", "4", "--p-min", "1e-6",
+               "--format", "json"],
+    "losses_branch": ["losses", "--model", "sjj", "--n", "10", "--coupling", "4",
+                      "--la", "1", "--lb", "0", "--format", "json"],
+    "hartree": ["hartree", "--coupling", "2", "--n", "30"],
+    "crossover": ["crossover", "--model", "sjj", "--n", "20", "--tol", "1e-4"],
+    "physical": ["physical", "--species", "li7", "--a-sc", "1.4e-9", "--omega-x", "439.8",
+                 "--omega-perp", "4398.2", "--kappa-hz", "77", "--n", "300"],
+}
+
+
+def test_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_json_output_matches_schema(name, tmp_path):
+    argv = JSON_COMMANDS[name]
+    rc, f = run(tmp_path, f"{name}.json", argv)
+    assert rc == 0
+    obj = json.loads(f.read_text())
+    jsonschema.validate(obj, SCHEMA, cls=jsonschema.Draft202012Validator)
+    assert obj["command"] == argv[0]

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjj import (
     FockState,
@@ -11,6 +14,7 @@ from sjj import (
     TwoModeParams,
     build_hamiltonian,
     eigen_decompose,
+    eigenvalues,
     energy_gap,
     ground_state,
     propagate,
@@ -290,3 +294,52 @@ def test_envelope_continuity():
         jump = np.abs(np.diff(curve))
         slope = np.abs(curve[2:] - curve[:-2]) / (2.0 * step)
         assert np.all(jump[1:-1] <= 10.0 * slope[:-1] * step + 1e-9)
+
+
+EIGENVALUE_SIZES = (1, 2, 3, 4, 5, 6, 7, 300, 301)
+# below and at the SJJ crossover, and deep in the edge-doublet regime
+EIGENVALUE_COUPLINGS = (0.0, 2.0009925, 8.0)
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("coupling", EIGENVALUE_COUPLINGS)
+def test_eigenvalues_match_dense_and_full_solve(kind, coupling):
+    for n_total in EIGENVALUE_SIZES:
+        h = _built(kind, n_total, coupling)
+        energies = eigenvalues(h)
+        scale = np.maximum(1.0, np.abs(energies))
+        dense = np.linalg.eigvalsh(dense_from_tridiagonal(h.diag, h.offdiag))
+        assert np.all(np.abs(energies - dense) <= 1e-13 * scale)
+        full = eigen_decompose(h).energies
+        assert np.all(np.abs(energies - full) <= 1e-13 * scale)
+
+
+def test_eigenvalues_hand_assembled_non_mirror():
+    # no mirror symmetry: solved as one chain, not split into sectors
+    params = TwoModeParams(BJJ, 4, 1.0)
+    diag = np.array([0.3, -1.0, 0.2, 0.5, -0.1])
+    offdiag = np.array([-0.4, -0.2, -0.7, -0.3])
+    h = TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=params)
+    w_ref, _ = jacobi_eigh(dense_from_tridiagonal(diag, offdiag))
+    assert np.max(np.abs(eigenvalues(h) - w_ref)) <= 1e-13
+
+
+def test_eigenvalues_ascending_and_read_only():
+    energies = eigenvalues(build_hamiltonian(TwoModeParams(SJJ, 300, 8.0)))
+    assert np.all(np.diff(energies) >= 0.0)
+    assert not energies.flags.writeable
+    with pytest.raises(ValueError):
+        energies[0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([SJJ, BJJ]),
+    n_total=st.integers(min_value=1, max_value=80),
+    coupling=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_eigenvalues_sector_union_equals_full_chain(kind, n_total, coupling):
+    h = _built(kind, n_total, coupling)
+    whole = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag)
+    energies = eigenvalues(h)
+    assert np.all(np.abs(energies - whole) <= 1e-13 * np.maximum(1.0, np.abs(whole)))
