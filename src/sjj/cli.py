@@ -19,11 +19,12 @@ Output is data only (CSV or JSON; no plotting).  Every CSV starts with a
 floats are printed with 12 significant digits so identical configurations
 produce byte-identical files.  A JSON config file (--config) supplies
 defaults for any flag (keys are flag names with '-' replaced by '_');
-explicit flags win over the config file, which wins over built-ins.  Sweeps
-run on a thread pool sized by --threads (fallback: SJJ_THREADS, then the
-available parallelism); a count that is not a positive integer is a usage
-error, wherever it came from.  Results are assembled in grid order
-regardless of completion order.  JSON payload keys are documented in
+explicit flags win over the config file, which wins over built-ins.  A
+config value gets the checks of its flag (type, choices), so a bad one is a
+usage error naming the key and the file.  Every flag is declared once, in
+_SPEC.  Sweeps evaluate their grid points in order on one thread; --threads
+(and config 'threads') is still accepted and must be a positive integer, but
+has no effect.  JSON payload keys are documented in
 schemas/cli_output.schema.json.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
@@ -33,13 +34,12 @@ Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,13 @@ from .losses import (
     conditional_state,
     loss_mixture,
 )
-from .meanfield import MeanFieldIntegrationError, MeanFieldState, integrate
+from .meanfield import (
+    _LAMBDA_HI,
+    _LAMBDA_LO,
+    MeanFieldIntegrationError,
+    MeanFieldState,
+    integrate,
+)
 from .model import FockState, ModelKind, TwoModeParams, build_hamiltonian
 from .observables import (
     UndefinedCriterionError,
@@ -98,10 +104,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _model_kind(name: str) -> ModelKind:
-    return ModelKind(name.lower())
-
-
 def _write_text(path: str | None, text: str) -> None:
     """Write atomically (temp file + rename) so failures leave no partial file."""
     if path is None:
@@ -120,9 +122,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _echoable(resolved: dict) -> dict:
-    # output path and worker count do not affect the computed numbers:
-    # leaving them out keeps identical configurations byte-identical across
-    # target files and thread counts
+    # the output path does not affect the computed numbers and threads has
+    # no effect: leaving them out keeps identical configurations
+    # byte-identical across target files and thread counts
     return {k: v for k, v in resolved.items() if k not in ("output", "threads")}
 
 
@@ -131,15 +133,9 @@ def _comment(command: str, resolved: dict) -> str:
     return f"# sjj {__version__} {payload}"
 
 
-def _emit_table(
-    command: str,
-    resolved: dict,
-    columns: list[str],
-    rows: list[tuple],
-    path: str | None,
-    fmt: str,
-) -> None:
-    if fmt == "csv":
+def _emit_table(command: str, resolved: dict, columns: list[str], rows: list[tuple]) -> None:
+    path = resolved["output"]
+    if resolved["format"] == "csv":
         lines = [_comment(command, resolved), ",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
@@ -158,7 +154,7 @@ def _emit_table(
         _write_text(path, json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
-def _emit_object(command: str, resolved: dict, payload: dict, path: str | None) -> None:
+def _emit_object(command: str, resolved: dict, payload: dict) -> None:
     obj = {
         "tool": "sjj",
         "version": __version__,
@@ -166,56 +162,30 @@ def _emit_object(command: str, resolved: dict, payload: dict, path: str | None) 
         "config": _echoable(resolved),
         **payload,
     }
-    _write_text(path, json.dumps(obj, sort_keys=True, default=str) + "\n")
-
-
-def _thread_count(value, source: str, parser: argparse.ArgumentParser) -> int:
-    """A worker count: a positive integer, else a usage error naming its source."""
-    try:
-        count = int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        count = 0
-    if isinstance(value, bool) or count < 1:
-        parser.error(f"{source} must be a positive integer, got {value!r}")
-    return count
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    _write_text(resolved["output"], json.dumps(obj, sort_keys=True, default=str) + "\n")
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_spectrum(resolved: dict) -> None:
-    kind = _model_kind(resolved["model"])
+    kind = ModelKind(resolved["model"])
     n = int(resolved["n"])
-    grid = _parse_grid(resolved["grid"])
-
-    def point(coupling: float) -> np.ndarray:
-        return eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(coupling))))
-
-    spectra = _parallel_map(point, list(grid), resolved["threads"])
     rows = [
         (float(c), k, float(e))
-        for c, energies in zip(grid, spectra)
-        for k, e in enumerate(energies)
+        for c in _parse_grid(resolved["grid"])
+        for k, e in enumerate(eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(c)))))
     ]
-    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], rows,
-                resolved["output"], resolved["format"])
+    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], rows)
 
 
 def _cmd_ground(resolved: dict) -> None:
-    kind = _model_kind(resolved["model"])
+    kind = ModelKind(resolved["model"])
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
     _, state = ground_state(build_hamiltonian(params))
     amps = state.amps.real
     rows = [(k, float(p), float(a)) for k, (p, a) in enumerate(zip(state.probabilities, amps))]
-    _emit_table("ground", resolved, ["n", "prob", "amp"], rows,
-                resolved["output"], resolved["format"])
+    _emit_table("ground", resolved, ["n", "prob", "amp"], rows)
 
 
 def _hz_row(kind: ModelKind, n: int, coupling: float) -> tuple:
@@ -231,15 +201,14 @@ def _hz_row(kind: ModelKind, n: int, coupling: float) -> tuple:
 
 
 def _cmd_hz(resolved: dict) -> None:
-    kind = _model_kind(resolved["model"])
+    kind = ModelKind(resolved["model"])
     n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
-    threads = resolved["threads"]
 
     # couplings are keyed at 1e-12 resolution so refinement levels cannot
     # produce near-duplicate rows that collide at the printed precision
     keys = [round(float(c), 12) for c in grid]
-    rows = dict(zip(keys, _parallel_map(lambda c: _hz_row(kind, n, c), keys, threads)))
+    rows = {c: _hz_row(kind, n, c) for c in keys}
 
     if resolved["refine"]:
         def hz1_cached(coupling: float) -> float:
@@ -250,9 +219,8 @@ def _cmd_hz(resolved: dict) -> None:
 
         refine_minimum(hz1_cached, grid, refine_to=float(resolved["refine_to"]))
 
-    ordered = [rows[c] for c in sorted(rows)]
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
-                ordered, resolved["output"], resolved["format"])
+                [rows[c] for c in sorted(rows)])
 
 
 def _cmd_meanfield(resolved: dict) -> None:
@@ -268,20 +236,19 @@ def _cmd_meanfield(resolved: dict) -> None:
         (float(t), float(z), float(th), float(h), float(h - h0))
         for t, z, th, h in zip(traj.times, traj.z, traj.theta, traj.energies)
     ]
-    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], rows,
-                resolved["output"], resolved["format"])
+    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], rows)
 
 
 def _cmd_losses(resolved: dict) -> None:
-    kind = _model_kind(resolved["model"])
+    kind = ModelKind(resolved["model"])
+    la, lb = resolved["la"], resolved["lb"]
+    if (la is None) != (lb is None):
+        raise _UsageError("--la and --lb must be given together")
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
     # full solve, not ground_state: exact tails would multiply the rows printed below
     state = FockState(eigen_decompose(build_hamiltonian(params)).vectors[:, 0].astype(complex))
     ch = LossChannel(eta_a=float(resolved["eta_a"]), eta_b=float(resolved["eta_b"]))
 
-    la, lb = resolved["la"], resolved["lb"]
-    if (la is None) != (lb is None):
-        raise ValueError("--la and --lb must be given together")
     if la is not None:
         branch = conditional_state(state, int(la), int(lb), ch)
         probs = branch.state.probabilities
@@ -291,8 +258,7 @@ def _cmd_losses(resolved: dict) -> None:
             if p > 0.0
         ]
         resolved = {**resolved, "branch_probability": float(branch.probability)}
-        _emit_table("losses", resolved, ["n", "prob"], rows,
-                    resolved["output"], resolved["format"])
+        _emit_table("losses", resolved, ["n", "prob"], rows)
         return
 
     branches = loss_mixture(state, ch, p_min=float(resolved["p_min"]))
@@ -302,8 +268,7 @@ def _cmd_losses(resolved: dict) -> None:
             joint = br.probability * float(p)
             if joint > 0.0:
                 rows.append((br.l_a, br.l_b, k + br.l_b, joint))
-    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], rows,
-                resolved["output"], resolved["format"])
+    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], rows)
 
 
 def _cmd_hartree(resolved: dict) -> None:
@@ -320,22 +285,22 @@ def _cmd_hartree(resolved: dict) -> None:
         for sol in stationary_solutions(coupling)
     ]
     payload: dict = {"coupling": coupling, "branches": branches}
-    if 1.58 <= coupling <= 2.42:
+    if _LAMBDA_LO <= coupling <= _LAMBDA_HI:
         payload["exact_branch_energy"] = exact_branch_energy(coupling)
         if resolved.get("n") is not None:
             payload["cat_overlap"] = cat_overlap(coupling, int(resolved["n"]))
-    _emit_object("hartree", resolved, payload, resolved["output"])
+    _emit_object("hartree", resolved, payload)
 
 
 def _cmd_crossover(resolved: dict) -> None:
-    kind = _model_kind(resolved["model"])
+    kind = ModelKind(resolved["model"])
     value = crossover_coupling(
         kind,
         int(resolved["n"]),
         criterion=resolved["criterion"],
         tol=float(resolved["tol"]),
     )
-    _emit_object("crossover", resolved, {"coupling_critical": value}, resolved["output"])
+    _emit_object("crossover", resolved, {"coupling_critical": value})
 
 
 def _cmd_physical(resolved: dict) -> None:
@@ -368,52 +333,83 @@ def _cmd_physical(resolved: dict) -> None:
         "wp": wp,
         "wp_lambda_squared": wp * lam * lam if wp is not None else None,
     }
-    _emit_object("physical", resolved, payload, resolved["output"])
+    _emit_object("physical", resolved, payload)
 
 
 # ------------------------------------------------------------ arg plumbing
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "ground": _cmd_ground,
-    "hz": _cmd_hz,
-    "meanfield": _cmd_meanfield,
-    "losses": _cmd_losses,
-    "hartree": _cmd_hartree,
-    "crossover": _cmd_crossover,
-    "physical": _cmd_physical,
+
+class _Flag(NamedTuple):
+    """One flag of one command.  A bool type declares a --name/--no-name pair;
+    a required flag has no built-in default.  `positive` is for counts."""
+
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    required: bool = False
+    positive: bool = False
+
+
+class _Command(NamedTuple):
+    run: Callable[[dict], None]
+    help: str
+    flags: dict[str, _Flag]
+
+
+_MODEL = _Flag(choices=("sjj", "bjj"), required=True)
+_N = _Flag(int, required=True)
+_COUPLING = _Flag(float, required=True)
+_GRID = _Flag(help="coupling grid start:stop:step (inclusive)", required=True)
+_FORMAT = _Flag(default="csv", choices=("csv", "json"))
+_THREADS = _Flag(int, help="accepted for compatibility, no effect: sweeps run serially",
+                 positive=True)
+_OUTPUT = _Flag(help="output path (default: stdout)")
+
+_SPEC = {
+    "spectrum": _Command(_cmd_spectrum, "eigenvalues over a coupling grid", {
+        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT, "threads": _THREADS}),
+    "ground": _Command(_cmd_ground, "ground-state distribution", {
+        "model": _MODEL, "n": _N, "coupling": _COUPLING, "format": _FORMAT}),
+    "hz": _Command(_cmd_hz, "entanglement witnesses over a grid", {
+        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT, "threads": _THREADS,
+        "refine": _Flag(bool, True),
+        "refine_to": _Flag(float, 1e-5, help="refinement step floor (default 1e-5)")}),
+    "meanfield": _Command(_cmd_meanfield, "fixed-step mean-field trajectory", {
+        "coupling": _COUPLING, "format": _FORMAT, "z0": _Flag(float, 0.0),
+        "theta0": _Flag(float, 0.0), "tau_max": _Flag(float, 100.0), "dtau": _Flag(float, 1e-3)}),
+    "losses": _Command(_cmd_losses, "beam-splitter loss branches", {
+        "model": _MODEL, "n": _N, "coupling": _COUPLING, "format": _FORMAT,
+        "la": _Flag(int, help="detected losses in channel a (with --lb)"),
+        "lb": _Flag(int, help="detected losses in channel b (with --la)"),
+        "eta_a": _Flag(float, 0.999), "eta_b": _Flag(float, 0.999),
+        "p_min": _Flag(float, 0.0, help="truncate traced branches below this probability")}),
+    "hartree": _Command(_cmd_hartree, "variational branches at one coupling", {
+        "coupling": _COUPLING, "n": _Flag(int)}),
+    "crossover": _Command(_cmd_crossover, "critical coupling by bisection", {
+        "model": _MODEL, "n": _N, "tol": _Flag(float, 1e-7),
+        "criterion": _Flag(str, "bimodal", ("bimodal", "edge", "hz_jump"))}),
+    "physical": _Command(_cmd_physical, "laboratory-unit conversions", {
+        "n": _N, "species": _Flag(str, "li7", ("li7", "rb87")),
+        "mass": _Flag(float, help="particle mass in kg (overrides species)"),
+        "a_perp": _Flag(float, help="transverse length in m (overrides mass-derived)"),
+        "a_sc": _Flag(float, help="scattering length in m", required=True),
+        "omega_x": _Flag(float, help="axial trap frequency, rad/s", required=True),
+        "omega_perp": _Flag(float, help="radial trap frequency, rad/s", required=True),
+        "kappa_hz": _Flag(float, help="|K|/2pi in Hz", required=True)}),
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "spectrum": {"model": None, "n": None, "grid": None, "output": None,
-                 "format": "csv", "threads": None},
-    "ground": {"model": None, "n": None, "coupling": None, "output": None,
-               "format": "csv"},
-    "hz": {"model": None, "n": None, "grid": None, "refine": True,
-           "refine_to": 1e-5, "output": None, "format": "csv", "threads": None},
-    "meanfield": {"coupling": None, "z0": 0.0, "theta0": 0.0, "tau_max": 100.0,
-                  "dtau": 1e-3, "output": None, "format": "csv"},
-    "losses": {"model": None, "n": None, "coupling": None, "la": None, "lb": None,
-               "eta_a": 0.999, "eta_b": 0.999, "p_min": 0.0, "output": None,
-               "format": "csv"},
-    "hartree": {"coupling": None, "n": None, "output": None},
-    "crossover": {"model": None, "n": None, "criterion": "bimodal", "tol": 1e-7,
-                  "output": None},
-    "physical": {"species": "li7", "mass": None, "a_perp": None, "a_sc": None,
-                 "omega_x": None, "omega_perp": None, "kappa_hz": None, "n": None,
-                 "output": None},
-}
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "spectrum": ("model", "n", "grid"),
-    "ground": ("model", "n", "coupling"),
-    "hz": ("model", "n", "grid"),
-    "meanfield": ("coupling",),
-    "losses": ("model", "n", "coupling"),
-    "hartree": ("coupling",),
-    "crossover": ("model", "n"),
-    "physical": ("a_sc", "omega_x", "omega_perp", "kappa_hz", "n"),
-}
+def _flags(command: str) -> dict[str, _Flag]:
+    return {**_SPEC[command].flags, "output": _OUTPUT}
+
+
+def _option(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class _UsageError(Exception):
+    """A bad command line or config file: exit 2 with the parser's usage line."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -423,113 +419,72 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sjj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, model=False, n=False, coupling=False, grid=False,
-                   threads=False, fmt=True):
-        if model:
-            p.add_argument("--model", choices=["sjj", "bjj"])
-        if n:
-            p.add_argument("--n", type=int)
-        if coupling:
-            p.add_argument("--coupling", type=float)
-        if grid:
-            p.add_argument("--grid", help="coupling grid start:stop:step (inclusive)")
-        if threads:
-            p.add_argument("--threads", type=int)
-        if fmt:
-            p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("-o", "--output", help="output path (default: stdout)")
+    for command, spec in _SPEC.items():
+        p = sub.add_parser(command, help=spec.help)
+        for key, flag in _flags(command).items():
+            names = [_option(key)] if key != "output" else ["-o", "--output"]
+            if flag.type is bool:
+                p.add_argument(*names, action=argparse.BooleanOptionalAction, help=flag.help)
+            else:
+                p.add_argument(*names, type=flag.type, choices=flag.choices, help=flag.help)
         p.add_argument("--config", help="JSON file with flag defaults")
-
-    p = sub.add_parser("spectrum", help="eigenvalues over a coupling grid")
-    add_common(p, model=True, n=True, grid=True, threads=True)
-
-    p = sub.add_parser("ground", help="ground-state distribution")
-    add_common(p, model=True, n=True, coupling=True)
-
-    p = sub.add_parser("hz", help="entanglement witnesses over a grid")
-    add_common(p, model=True, n=True, grid=True, threads=True)
-    p.add_argument("--refine", dest="refine", action="store_true", default=None)
-    p.add_argument("--no-refine", dest="refine", action="store_false", default=None)
-    p.add_argument("--refine-to", type=float, help="refinement step floor (default 1e-5)")
-
-    p = sub.add_parser("meanfield", help="fixed-step mean-field trajectory")
-    add_common(p, coupling=True)
-    p.add_argument("--z0", type=float)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--tau-max", type=float)
-    p.add_argument("--dtau", type=float)
-
-    p = sub.add_parser("losses", help="beam-splitter loss branches")
-    add_common(p, model=True, n=True, coupling=True)
-    p.add_argument("--la", type=int, help="detected losses in channel a (with --lb)")
-    p.add_argument("--lb", type=int, help="detected losses in channel b (with --la)")
-    p.add_argument("--eta-a", type=float)
-    p.add_argument("--eta-b", type=float)
-    p.add_argument("--p-min", type=float, help="truncate traced branches below this probability")
-
-    p = sub.add_parser("hartree", help="variational branches at one coupling")
-    add_common(p, coupling=True, n=True, fmt=False)
-
-    p = sub.add_parser("crossover", help="critical coupling by bisection")
-    add_common(p, model=True, n=True, fmt=False)
-    p.add_argument("--criterion", choices=["bimodal", "edge", "hz_jump"])
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("physical", help="laboratory-unit conversions")
-    add_common(p, n=True, fmt=False)
-    p.add_argument("--species", choices=["li7", "rb87"])
-    p.add_argument("--mass", type=float, help="particle mass in kg (overrides species)")
-    p.add_argument("--a-perp", type=float, help="transverse length in m (overrides mass-derived)")
-    p.add_argument("--a-sc", type=float, help="scattering length in m")
-    p.add_argument("--omega-x", type=float, help="axial trap frequency, rad/s")
-    p.add_argument("--omega-perp", type=float, help="radial trap frequency, rad/s")
-    p.add_argument("--kappa-hz", type=float, help="|K|/2pi in Hz")
-
     return parser
 
 
-def _resolve(command: str, args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    resolved = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _accepts(flag: _Flag, value) -> bool:
+    """Whether `value` is one the flag admits: true/false for a switch, else a
+    JSON value of the flag's type or a string that parses as one."""
+    if flag.type is bool or isinstance(value, bool):
+        return flag.type is bool and isinstance(value, bool)
+    if isinstance(value, str):
         try:
-            with open(config_path) as fh:
+            value = flag.type(value)
+        except ValueError:
+            return False
+    if not isinstance(value, (int, float) if flag.type is float else flag.type):
+        return False
+    return (flag.choices is None or value in flag.choices) and not (flag.positive and value < 1)
+
+
+def _expected(flag: _Flag) -> str:
+    if flag.choices:
+        return "one of " + ", ".join(flag.choices)
+    if flag.positive:
+        return "a positive integer"
+    names = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    return names[flag.type]
+
+
+def _resolve(command: str, args: argparse.Namespace) -> dict:
+    """Built-in defaults, overridden by the config file, overridden by flags;
+    every value the file or a flag supplies is checked against its flag."""
+    flags = _flags(command)
+    resolved = {key: flag.default for key, flag in flags.items()}
+    supplied = []
+    if args.config:
+        try:
+            with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {config_path}: {exc}")
+            raise _UsageError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
-            parser.error(f"config file {config_path} must hold a JSON object")
-        for key, value in file_cfg.items():
-            if key in resolved:
-                resolved[key] = value
-    for key in resolved:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-    missing = [k for k in _REQUIRED[command] if resolved.get(k) is None]
+            raise _UsageError(f"config file {args.config} must hold a JSON object")
+        supplied += [(key, value, f"'{key}' in config file {args.config}")
+                     for key, value in file_cfg.items() if key in flags and value is not None]
+    supplied += [(key, getattr(args, key), _option(key))
+                 for key in flags if getattr(args, key) is not None]
+    for key, value, source in supplied:
+        if not _accepts(flags[key], value):
+            raise _UsageError(f"{source} must be {_expected(flags[key])}, got {value!r}")
+        resolved[key] = value
+    missing = [_option(k) for k, flag in flags.items() if flag.required and resolved[k] is None]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        parser.error(f"missing required option(s): {flags}")
-    # malformed grids and enum values are usage errors (exit 2), wherever
-    # they came from
-    if resolved.get("grid") is not None:
+        raise _UsageError(f"missing required option(s): {', '.join(missing)}")
+    if "grid" in resolved:
         try:
-            _parse_grid(str(resolved["grid"]))
+            _parse_grid(resolved["grid"])
         except ValueError as exc:
-            parser.error(str(exc))
-    if resolved.get("model") is not None and str(resolved["model"]).lower() not in ("sjj", "bjj"):
-        parser.error(f"model must be sjj or bjj, got {resolved['model']!r}")
-    if resolved.get("format") not in (None, "csv", "json"):
-        parser.error(f"format must be csv or json, got {resolved['format']!r}")
-    if "threads" in resolved:
-        if getattr(args, "threads", None) is not None:
-            value, source = args.threads, "--threads"
-        elif resolved["threads"] is not None:
-            value, source = resolved["threads"], f"'threads' in config file {config_path}"
-        else:
-            value, source = os.environ.get("SJJ_THREADS") or os.cpu_count() or 1, "SJJ_THREADS"
-        resolved["threads"] = _thread_count(value, source, parser)
+            raise _UsageError(str(exc)) from None
     return resolved
 
 
@@ -538,8 +493,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     try:
-        resolved = _resolve(command, args, parser)
-        _COMMANDS[command](resolved)
+        resolved = _resolve(command, args)
+        _SPEC[command].run(resolved)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except _NUMERICAL_ERRORS as exc:
         print(f"sjj {command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .meanfield import _LAMBDA_HI, _LAMBDA_LO
 from .model import FockState
 
 __all__ = [
@@ -40,9 +41,6 @@ __all__ = [
     "cat_state",
     "noon_state",
 ]
-
-_LAMBDA_LO = 1.58
-_LAMBDA_HI = 2.42
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # imbalance window of the self-trapped steady branch: 1.58 = 2*(1 - 0.21),
-# 2.42 = 2*(1 + 0.21)
+# 2.42 = 2*(1 + 0.21); also the window of the Hartree imbalanced branches
 _LAMBDA_LO = 1.58
 _LAMBDA_HI = 2.42
 

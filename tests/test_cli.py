@@ -44,8 +44,9 @@ def test_spectrum_deterministic_and_json(tmp_path):
     assert len(obj["rows"]) == 5 * 13
 
 
-def test_spectrum_threads_identical(tmp_path):
-    argv = ["spectrum", "--model", "sjj", "--n", "40", "--grid", "0:3:0.25"]
+@pytest.mark.parametrize("command", ["spectrum", "hz"])
+def test_spectrum_threads_identical(command, tmp_path):
+    argv = [command, "--model", "sjj", "--n", "40", "--grid", "0:3:0.25"]
     _, f1 = run(tmp_path, "t1.csv", argv + ["--threads", "1"])
     _, f2 = run(tmp_path, "t2.csv", argv + ["--threads", "4"])
     assert f1.read_bytes() == f2.read_bytes()
@@ -244,16 +245,6 @@ def test_nonpositive_threads_flag_is_usage_error(threads, capsys):
     assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["spectrum", "hz"])
-@pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
-def test_bad_env_threads_is_usage_error(command, env, monkeypatch, capsys):
-    monkeypatch.setenv("SJJ_THREADS", env)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--model", "bjj", "--n", "4", "--grid", "0:1:0.5"])
-    assert exc.value.code == 2
-    assert f"SJJ_THREADS must be a positive integer, got {env!r}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("value", ["x", 0, -2, 1.5, True])
 def test_bad_config_threads_is_usage_error(value, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -264,6 +255,67 @@ def test_bad_config_threads_is_usage_error(value, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"'threads' in config file {cfg} must be a positive integer" in err
+
+
+GROUND = ["ground", "--model", "sjj", "--n", "10", "--coupling", "1"]
+HZ = ["hz", "--model", "sjj", "--n", "10", "--grid", "1.9:2.1:0.1"]
+PHYSICAL = ["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
+            "--kappa-hz", "77", "--n", "300"]
+
+
+BAD_CONFIG = {
+    "n_fraction": (["ground"], {"model": "sjj", "n": 10.7, "coupling": 1}, "n"),
+    "n_text": (["ground"], {"model": "sjj", "n": "abc", "coupling": 1}, "n"),
+    "model_case": (["ground"], {"model": "SJJ", "n": 10, "coupling": 1}, "model"),
+    "coupling_bool": (GROUND, {"coupling": True}, "coupling"),
+    "format_choice": (GROUND, {"format": "xml"}, "format"),
+    "output_number": (GROUND, {"output": 5}, "output"),
+    "refine_text": (HZ, {"refine": "no"}, "refine"),
+    "refine_to_list": (HZ, {"refine_to": [1e-3]}, "refine_to"),
+    "grid_number": (HZ, {"grid": 1.5}, "grid"),
+    "criterion_choice": (["crossover", "--model", "sjj", "--n", "10"], {"criterion": "bogus"},
+                         "criterion"),
+    "species_choice": (PHYSICAL, {"species": "na23"}, "species"),
+    "la_fraction": (["losses", "--model", "sjj", "--n", "10", "--coupling", "4"],
+                    {"la": 0.5, "lb": 0}, "la"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+def test_bad_config_value_is_usage_error(case, tmp_path, capsys):
+    argv, cfg, key = BAD_CONFIG[case]
+    # a config value gets the type and choices checks of its flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(path), "-o", str(out)])
+    assert exc.value.code == 2
+    assert f"'{key}' in config file {path} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_valid_config_values_echo_as_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bjj", "n": "6", "grid": "0:1:0.5", "refine": False,
+                               "refine_to": 1, "threads": 3}))
+    rc, f = run(tmp_path, "hz.csv", ["hz", "--config", str(cfg)])
+    assert rc == 0
+    meta = json.loads(f.read_text().splitlines()[0].split(" ", 3)[3])
+    assert meta == {"command": "hz", "model": "bjj", "n": "6", "grid": "0:1:0.5",
+                    "refine": False, "refine_to": 1, "format": "csv"}
+    assert len(f.read_text().splitlines()) == 2 + 3  # no refinement rows
+
+
+@pytest.mark.parametrize("half", [["--la", "1"], ["--lb", "0"]])
+def test_losses_half_pair_is_usage_error(half, tmp_path, capsys):
+    out = tmp_path / "half.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["losses", "--model", "sjj", "--n", "10", "--coupling", "4", *half,
+              "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--la and --lb must be given together" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_flag_beats_bad_env(tmp_path, monkeypatch):
@@ -338,3 +390,21 @@ def test_json_output_matches_schema(name, tmp_path):
     obj = json.loads(f.read_text())
     jsonschema.validate(obj, SCHEMA, cls=jsonschema.Draft202012Validator)
     assert obj["command"] == argv[0]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_schema_rejects_missing_payload(name, tmp_path):
+    rc, f = run(tmp_path, f"{name}.json", JSON_COMMANDS[name])
+    assert rc == 0
+    obj = json.loads(f.read_text())
+    bare = {key: obj[key] for key in ("tool", "version", "command", "config")}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bare, SCHEMA, cls=jsonschema.Draft202012Validator)
+
+
+def test_branch_probability_documented_where_written(tmp_path):
+    _, f = run(tmp_path, "branch.json", JSON_COMMANDS["losses_branch"])
+    obj = json.loads(f.read_text())
+    assert 0.0 < obj["config"]["branch_probability"] < 1.0
+    assert "branch_probability" in SCHEMA["properties"]["config"]["properties"]
+    assert "branch_probability" not in SCHEMA["properties"]
