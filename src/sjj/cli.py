@@ -22,9 +22,10 @@ defaults for any flag (keys are flag names with '-' replaced by '_');
 explicit flags win over the config file, which wins over built-ins.  A
 config value gets the checks of its flag (type, choices), so a bad one is a
 usage error naming the key and the file.  Every flag is declared once, in
-_SPEC.  Sweeps evaluate their grid points in order on one thread; --threads
-(and config 'threads') is still accepted and must be a positive integer, but
-has no effect.  JSON payload keys are documented in
+_SPEC.  A --grid may have at most 100,000 points (_MAX_GRID_POINTS); a
+larger one is a usage error.  Sweeps evaluate their grid points in order on
+one thread; --threads (and config 'threads') is still accepted and must be a
+positive integer, but has no effect.  JSON payload keys are documented in
 schemas/cli_output.schema.json.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
@@ -90,6 +91,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# about 500 times the largest grid in the README or the benchmark (201 points)
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start_s, stop_s, step_s = spec.split(":")
@@ -100,8 +105,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid step must be > 0, got {step}")
     if start > stop:
         raise ValueError(f"grid start must be <= stop, got {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # also catches an infinite or NaN span
+        raise ValueError(f"grid must have at most {_MAX_GRID_POINTS} points, got {spec!r}")
+    return start + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -360,7 +367,8 @@ class _Command(NamedTuple):
 _MODEL = _Flag(choices=("sjj", "bjj"), required=True)
 _N = _Flag(int, required=True)
 _COUPLING = _Flag(float, required=True)
-_GRID = _Flag(help="coupling grid start:stop:step (inclusive)", required=True)
+_GRID = _Flag(help=f"coupling grid start:stop:step (inclusive, at most {_MAX_GRID_POINTS} points)",
+              required=True)
 _FORMAT = _Flag(default="csv", choices=("csv", "json"))
 _THREADS = _Flag(int, help="accepted for compatibility, no effect: sweeps run serially",
                  positive=True)

@@ -1,24 +1,25 @@
 """Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
 
-The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets the full
-spectrum, vectors included, from the LAPACK solvers wrapped by scipy
-(``eigh_tridiagonal``) and serves ``propagate`` and the loss channel;
-``eigenvalues`` gets the energies alone from the root-free QR iteration
-(LAPACK ``sterf``), splitting a mirror-symmetric chain exactly into its even
-and odd sectors under n -> N-n first, so each solve is half the size;
-``ground_state`` and ``energy_gap`` need only the two lowest levels and get
-them from the selected-range solver (bisection plus inverse iteration,
-LAPACK ``stebz``/``stein``), which costs O(N) instead of O(N^2).  Two
-deterministic post-processing steps are applied to every computed pair:
+The matrices are symmetric tridiagonal and are solved by the LAPACK routines
+wrapped by scipy.  ``eigen_decompose`` gets every level with its vector and
+serves ``propagate`` and the loss channel; ``eigenvalues`` gets the energies
+alone from the root-free QR iteration (``sterf``) and serves the spectrum
+sweep; ``ground_state`` and ``energy_gap`` need only the lowest levels and
+get them by bisection (``stebz``, plus inverse iteration ``stein`` for the
+ground vector), which costs O(N) instead of O(N^2).
 
-* Near-degenerate doublets.  The built Hamiltonians commute with the mirror
-  n -> N-n, so every eigenvector should carry definite parity.  Past the
-  self-trapping crossover the two lowest levels (and further edge doublets)
-  degenerate to machine precision and the raw solver returns arbitrary
-  mixtures; consecutive levels closer than 1e-6 * max(1, |E|) are rotated
-  back to an (even, odd) parity pair, even first, and isolated levels are
-  projected onto their dominant parity.  This restores the symmetric ground
-  state that exact arithmetic would give without disturbing residuals.
+* Mirror symmetry.  Every built Hamiltonian commutes with the mirror
+  n -> N-n and has couplings <= 0.  A centrosymmetric matrix splits exactly
+  into an even and an odd block of about half the size in the basis
+  (|n> +- |N-n>)/sqrt(2) (Cantoni & Butler 1976, Linear Algebra Appl. 13,
+  275; ``_sectors``), and each block is solved on its own, so every vector
+  is even or odd bit for bit however close its doublet partner lies.  Past
+  the self-trapping crossover the edge doublets are degenerate below double
+  precision, and a solver given the whole chain returns arbitrary mixtures
+  of their members.  The levels of a chain whose couplings are all <= 0
+  alternate in parity, even first (Sturm oscillation: level k changes sign
+  k times), so the j-th even level is level 2j and the j-th odd level is
+  level 2j+1.  Other matrices are solved whole.
 
 * Sign convention.  The first component of each eigenvector with magnitude
   above 1e-12 is made positive, so repeated runs are bit-comparable.
@@ -53,18 +54,17 @@ __all__ = [
     "energy_gap",
 ]
 
-_PAIR_RTOL = 1e-6
 _SIGN_FLOOR = 1e-12
-# largest allowed difference between the rebuilt ground vector and the
-# solver's; both are accurate to ~1e-14 in the bulk unless two even levels
-# nearly cross, and then the rebuilt vector must pass a residual test instead
-_REBUILD_ATOL = 1e-10
-_REBUILD_RESIDUAL = 1e-12
+# largest residual |H a - E a| / (sqrt(N+1) max(1, |E|)) of an accepted
+# rebuilt ground vector: twisted at its largest component, the residual is
+# at most sqrt(N+1) times the energy's error (Dhillon & Parlett 2004), and
+# bisection gets the energy to a few ulps
+_REBUILD_RESIDUAL = 1e-13
 
 
 class EigensolveError(RuntimeError):
     """Raised when the tridiagonal eigensolver fails to converge, or when the
-    rebuilt ground vector disagrees with the solver's."""
+    rebuilt ground vector is not an eigenvector to within its residual bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,81 +80,61 @@ class Spectrum:
         return len(self.energies)
 
 
-def _parity_fix(energies: np.ndarray, vectors: np.ndarray) -> None:
-    """Restore definite parity under the mirror n -> N-n.
-
-    A doublet whose splitting is comparable to the backward error comes out
-    of the raw solver as an arbitrary mixture of its even and odd members;
-    consecutive levels closer than 1e-6 * max(1, |E|) are therefore rotated
-    to an (even, odd) pair, even first.  The larger-norm candidate among
-    v +- reverse(v) of either raw vector is always well conditioned because
-    the pair spans exactly one even and one odd direction.  For a pair that
-    is only mildly split the raw vectors are already nearly pure, so the
-    rotation is a near-identity and residuals are untouched; for a truly
-    degenerate pair the rotation cost is bounded by the splitting itself.
-
-    Isolated levels are projected onto their dominant parity component,
-    which strips the O(eps/gap) contamination left by finite splitting.
-    """
-    dim = len(energies)
-    k = 0
-    while k < dim:
-        paired = False
-        if k + 1 < dim:
-            gap = energies[k + 1] - energies[k]
-            if gap <= _PAIR_RTOL * max(1.0, abs(energies[k])):
-                va, vb = vectors[:, k], vectors[:, k + 1]
-                even = max((va + va[::-1], vb + vb[::-1]), key=np.linalg.norm)
-                odd = max((va - va[::-1], vb - vb[::-1]), key=np.linalg.norm)
-                # guard against an accidental same-parity coincidence
-                if np.linalg.norm(even) > 1e-3 and np.linalg.norm(odd) > 1e-3:
-                    even = even / np.linalg.norm(even)
-                    odd = odd - even * (even @ odd)
-                    odd = odd / np.linalg.norm(odd)
-                    vectors[:, k] = even
-                    vectors[:, k + 1] = odd
-                    paired = True
-        if paired:
-            k += 2
-            continue
-        v = vectors[:, k]
-        even = v + v[::-1]
-        odd = v - v[::-1]
-        keep = even if np.linalg.norm(even) >= np.linalg.norm(odd) else odd
-        vectors[:, k] = keep / np.linalg.norm(keep)
-        k += 1
-
-
-def _is_mirror(h: TridiagonalHamiltonian) -> bool:
-    # always true for built Hamiltonians, not for hand-assembled ones
-    return bool(np.array_equal(h.diag, h.diag[::-1]) and np.array_equal(h.offdiag, h.offdiag[::-1]))
-
-
-def _solve(
-    h: TridiagonalHamiltonian, select_range: tuple[int, int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs, all of them or the index range ``select_range``, with
-    parity and sign fixed."""
-    select = {} if select_range is None else {"select": "i", "select_range": select_range}
+def _tridiagonal(solver, diag: np.ndarray, offdiag: np.ndarray, **options):
+    """Call one of scipy's tridiagonal solvers, a failure as EigensolveError."""
     try:
-        energies, vectors = scipy.linalg.eigh_tridiagonal(h.diag, h.offdiag, **select)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        return solver(diag, offdiag, **options)
+    except scipy.linalg.LinAlgError as exc:
         raise EigensolveError(f"tridiagonal eigensolver did not converge: {exc}") from exc
 
-    if _is_mirror(h):
-        _parity_fix(energies, vectors)
 
-    # deterministic sign: first significant component positive
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        sig = np.flatnonzero(np.abs(col) > _SIGN_FLOOR)
-        if sig.size and col[sig[0]] < 0:
-            vectors[:, k] = -col
-    return energies, vectors
+_Block = tuple[np.ndarray, np.ndarray]
 
 
-def _lowest_pair(h: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    return _solve(h, (0, min(2, len(h.diag)) - 1))
+def _sectors(h: TridiagonalHamiltonian) -> tuple[_Block, _Block] | None:
+    """The (diag, offdiag) of the even and the odd block under n -> N-n, or
+    None unless the chain is mirror symmetric with all couplings <= 0.
+
+    With centre c = N//2, for N even the even block is rows 0..c with the
+    last coupling scaled by sqrt(2) (row c is |c> itself) and the odd block
+    rows 0..c-1; for N odd both are rows 0..c, the coupling across the centre
+    added to the last diagonal entry (even) or subtracted from it (odd).
+    """
+    diag, offdiag = h.diag, h.offdiag
+    if not (
+        np.all(offdiag <= 0.0)
+        and np.array_equal(diag, diag[::-1])
+        and np.array_equal(offdiag, offdiag[::-1])
+    ):
+        return None
+    c = (len(diag) - 1) // 2
+    if len(diag) % 2:  # N even
+        even_off = offdiag[:c].copy()
+        even_off[-1] *= math.sqrt(2.0)
+        return (diag[: c + 1], even_off), (diag[:c], offdiag[: c - 1])
+    even_diag, odd_diag = diag[: c + 1].copy(), diag[: c + 1].copy()
+    even_diag[-1] += offdiag[c]
+    odd_diag[-1] -= offdiag[c]
+    return (even_diag, offdiag[:c]), (odd_diag, offdiag[:c])
+
+
+def _unfold(block_vectors: np.ndarray, dim: int, parity: float) -> np.ndarray:
+    """Fock-basis columns (|n> + parity |N-n>)/sqrt(2) from block vectors;
+    row c of an even block (N even) is the centre |c> itself."""
+    pairs = dim // 2
+    low = block_vectors[:pairs] / math.sqrt(2.0)
+    out = np.zeros((dim, block_vectors.shape[1]))
+    out[:pairs] = low
+    out[dim - pairs :] = parity * low[::-1]
+    if len(block_vectors) > pairs:
+        out[pairs] = block_vectors[pairs]
+    return out
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Make the first component above 1e-12 of every (unit) column positive."""
+    first = np.argmax(np.abs(vectors) > _SIGN_FLOOR, axis=0)
+    return vectors * np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _even_ground_vector(
@@ -200,101 +180,82 @@ def _even_ground_vector(
     return amps / np.linalg.norm(amps)
 
 
-def _check_rebuilt(
-    h: TridiagonalHamiltonian, energy: float, rebuilt: np.ndarray, solved: np.ndarray
-) -> None:
-    """Raise EigensolveError unless the rebuilt ground vector agrees with the
-    solver's to 1e-10 everywhere.
-
-    Where two even levels nearly cross (the soliton junction's avoided
-    crossing at the transition, e.g. N = 100 at coupling 2.0030709) every
-    double-precision vector, the solver's included, is determined only to
-    ~eps/gap, and the two can differ by up to ~1e-8.  There the rebuilt
-    vector is accepted if its residual |H a - E a| stays below
-    1e-12 max(1, |E|): a positive vector with that residual is the ground
-    state to within the conditioning of the problem (Perron-Frobenius).
-    """
-    deviation = float(np.max(np.abs(rebuilt - solved)))
-    if deviation <= _REBUILD_ATOL:
-        return
-    residual = float(np.max(np.abs(apply_hamiltonian(h, rebuilt) - energy * rebuilt)))
-    if residual > _REBUILD_RESIDUAL * max(1.0, abs(energy)):
-        raise EigensolveError(
-            f"rebuilt ground vector differs from the solver's by {deviation:.3g}"
-            f" with residual {residual:.3g}"
-        )
-
-
 def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
-    """Full spectrum of a tridiagonal Hamiltonian, deterministic output."""
-    energies, vectors = _solve(h)
+    """Full spectrum of a tridiagonal Hamiltonian, deterministic output.
+
+    A chain that ``_sectors`` splits gets even vectors in columns 0, 2, 4, ...
+    and odd vectors in columns 1, 3, 5, ..., each even or odd bit for bit;
+    the energies are the sorted union of both blocks' levels.  Other
+    matrices are solved whole.
+    """
+    sectors = _sectors(h)
+    if sectors is None:
+        energies, vectors = _tridiagonal(scipy.linalg.eigh_tridiagonal, h.diag, h.offdiag)
+    else:
+        (even_e, even_v), (odd_e, odd_v) = (
+            _tridiagonal(scipy.linalg.eigh_tridiagonal, *block) for block in sectors
+        )
+        dim = len(h.diag)
+        energies = np.sort(np.concatenate((even_e, odd_e)))
+        vectors = np.empty((dim, dim))
+        vectors[:, 0::2] = _unfold(even_v, dim, 1.0)
+        vectors[:, 1::2] = _unfold(odd_v, dim, -1.0)
+    vectors = _fix_signs(vectors)
     vectors.setflags(write=False)
     energies.setflags(write=False)
     return Spectrum(energies=energies, vectors=vectors)
 
 
-def _eigvalsh(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolveError(f"tridiagonal eigenvalue solver did not converge: {exc}") from exc
-
-
 def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
     """All energies of a tridiagonal Hamiltonian, ascending and read-only.
 
-    A mirror-symmetric chain (every built Hamiltonian) is split exactly into
-    its even and odd sectors under n -> N-n, in the basis
-    (|n> +- |N-n>)/sqrt(2), and each sector is solved on its own.  With
-    centre c = N//2, for N even the even sector is rows 0..c with the last
-    coupling scaled by sqrt(2) and the odd sector rows 0..c-1; for N odd both
-    are rows 0..c, the coupling across the centre added to the last diagonal
-    entry (even) or subtracted from it (odd).  Other matrices, and those
-    below dimension 3, are solved whole.  The energies agree with
-    ``eigen_decompose(h).energies`` to rounding.
+    A chain that ``_sectors`` splits (every built Hamiltonian) is solved one
+    block at a time; other matrices are solved whole.  The energies agree
+    with ``eigen_decompose(h).energies`` to rounding.
     """
-    diag, offdiag = h.diag, h.offdiag
-    dim = len(diag)
-    if dim < 3 or not _is_mirror(h):
-        energies = _eigvalsh(diag, offdiag)
-    else:
-        c = (dim - 1) // 2
-        if dim % 2:  # N even
-            even_off = offdiag[:c].copy()
-            even_off[-1] *= math.sqrt(2.0)
-            even = _eigvalsh(diag[: c + 1], even_off)
-            odd = _eigvalsh(diag[:c], offdiag[: c - 1])
-        else:
-            even_diag, odd_diag = diag[: c + 1].copy(), diag[: c + 1].copy()
-            even_diag[-1] += offdiag[c]
-            odd_diag[-1] -= offdiag[c]
-            even = _eigvalsh(even_diag, offdiag[:c])
-            odd = _eigvalsh(odd_diag, offdiag[:c])
-        energies = np.sort(np.concatenate((even, odd)))
+    sectors = _sectors(h)
+    blocks = [(h.diag, h.offdiag)] if sectors is None else sectors
+    energies = np.sort(np.concatenate([
+        _tridiagonal(scipy.linalg.eigvalsh_tridiagonal, *block, lapack_driver="sterf")
+        for block in blocks
+    ]))
     energies.setflags(write=False)
     return energies
 
 
 def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
-    """Lowest eigenpair, from the two lowest levels only.
+    """Lowest eigenpair.
 
-    For a mirror-symmetric Hamiltonian with negative couplings (every built
-    one with N >= 2) the amplitudes are real, strictly positive wherever
-    they do not underflow, and accurate relative to their own size in the
-    exponentially small tails.  Hand-assembled matrices, which are not
-    mirror symmetric, get the selected-pair solver's vector as it is.
+    The energy comes from bisection on the whole chain, the vector from the
+    even block of a chain that ``_sectors`` splits (every built Hamiltonian)
+    and from the whole chain otherwise.  With all couplings < 0 (every built
+    Hamiltonian with N >= 2) the even vector is then rebuilt from the
+    recurrence, twisted at the peak of the block's vector, so the amplitudes
+    are real, strictly positive wherever they do not underflow, and accurate
+    relative to their own size in the exponentially small tails.
 
-    Raises EigensolveError if the rebuilt vector differs from the solver's
-    by more than 1e-10 anywhere and is not an eigenvector to within its
-    residual bound (see ``_check_rebuilt``).
+    The rebuilt vector is checked by its residual alone: raises
+    EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
+    as it does when E is not an eigenvalue to rounding.
     """
-    energies, vectors = _lowest_pair(h)
-    energy, vec = float(energies[0]), vectors[:, 0]
-    if _is_mirror(h) and np.all(h.offdiag < 0.0):
+    # the bisection energy_gap runs, so both see the same E0 bit for bit
+    energy = float(_tridiagonal(
+        scipy.linalg.eigvalsh_tridiagonal, h.diag, h.offdiag, select="i", select_range=(0, 1)
+    )[0])
+    sectors = _sectors(h)
+    block = (h.diag, h.offdiag) if sectors is None else sectors[0]
+    _, vectors = _tridiagonal(
+        scipy.linalg.eigh_tridiagonal, *block, select="i", select_range=(0, 0)
+    )
+    if sectors is not None:
+        vectors = _unfold(vectors, len(h.diag), 1.0)
+    vec = _fix_signs(vectors)[:, 0]
+    if sectors is not None and np.all(h.offdiag < 0.0):
         c = (len(vec) - 1) // 2
-        rebuilt = _even_ground_vector(h.diag, h.offdiag, energy, int(np.argmax(vec[: c + 1])))
-        _check_rebuilt(h, energy, rebuilt, vec)
-        vec = rebuilt
+        vec = _even_ground_vector(h.diag, h.offdiag, energy, int(np.argmax(vec[: c + 1])))
+        residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
+        if residual > _REBUILD_RESIDUAL * math.sqrt(len(vec)) * max(1.0, abs(energy)):
+            raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
     return energy, FockState(vec.astype(complex))
 
 
@@ -319,5 +280,7 @@ def propagate(
 
 def energy_gap(h: TridiagonalHamiltonian) -> float:
     """Gap between the two lowest levels, energies[1] - energies[0] >= 0."""
-    energies, _ = _lowest_pair(h)
+    energies = _tridiagonal(
+        scipy.linalg.eigvalsh_tridiagonal, h.diag, h.offdiag, select="i", select_range=(0, 1)
+    )
     return float(energies[1] - energies[0])

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .meanfield import _LAMBDA_HI, _LAMBDA_LO
-from .model import FockState
+from .model import _OVERLAP_FIT, FockState
 
 __all__ = [
     "HartreeSolution",
@@ -99,8 +99,8 @@ def exact_branch_energy(Lambda: float) -> float:
         raise ValueError(
             f"imbalanced branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
         )
-    s2 = max(0.0, (_LAMBDA_HI - Lambda) / 0.84)
-    return -(Lambda / 2.0) * s2 - (1.0 - 0.21 * s2) * (1.0 - s2)
+    s2 = max(0.0, (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT))
+    return -(Lambda / 2.0) * s2 - (1.0 - _OVERLAP_FIT * s2) * (1.0 - s2)
 
 
 def cat_overlap(Lambda: float, n_total: int) -> float:

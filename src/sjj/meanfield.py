@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _OVERLAP_FIT
+
 __all__ = [
     "MeanFieldState",
     "Trajectory",
@@ -41,10 +43,13 @@ __all__ = [
     "wrap_phase",
 ]
 
-# imbalance window of the self-trapped steady branch: 1.58 = 2*(1 - 0.21),
-# 2.42 = 2*(1 + 0.21); also the window of the Hartree imbalanced branches
-_LAMBDA_LO = 1.58
-_LAMBDA_HI = 2.42
+# the 1.21 and 0.42 of dtheta/dtau, bit for bit
+_ONE_PLUS_FIT = 1.0 + _OVERLAP_FIT
+_TWICE_FIT = 2.0 * _OVERLAP_FIT
+# imbalance window of the self-trapped steady branch, 1.58 and 2.42 bit for
+# bit; also the window of the Hartree imbalanced branches
+_LAMBDA_LO = 2.0 * (1.0 - _OVERLAP_FIT)
+_LAMBDA_HI = 2.0 * (1.0 + _OVERLAP_FIT)
 
 
 class MeanFieldIntegrationError(RuntimeError):
@@ -93,22 +98,19 @@ class SteadyState:
 
 def rhs(s: MeanFieldState, Lambda: float) -> tuple[float, float]:
     """(dz/dtau, dtheta/dtau) at the given state."""
-    z, th = s.z, s.theta
-    dz = (1.0 - z * z) * (1.0 - 0.21 * z * z) * math.sin(th)
-    dth = Lambda * z - 2.0 * z * (1.21 - 0.42 * z * z) * math.cos(th)
-    return dz, dth
+    return _rhs_raw(s.z, s.theta, Lambda)
 
 
 def energy_h(s: MeanFieldState, Lambda: float) -> float:
     """Conserved energy h(z, theta) in units kappa*N (constant terms dropped)."""
     z, th = s.z, s.theta
-    return -(Lambda / 2.0) * z * z - (1.0 - z * z) * (1.0 - 0.21 * z * z) * math.cos(th)
+    return -(Lambda / 2.0) * z * z - (1.0 - z * z) * (1.0 - _OVERLAP_FIT * z * z) * math.cos(th)
 
 
 def _rhs_raw(z: float, th: float, Lambda: float) -> tuple[float, float]:
     return (
-        (1.0 - z * z) * (1.0 - 0.21 * z * z) * math.sin(th),
-        Lambda * z - 2.0 * z * (1.21 - 0.42 * z * z) * math.cos(th),
+        (1.0 - z * z) * (1.0 - _OVERLAP_FIT * z * z) * math.sin(th),
+        Lambda * z - 2.0 * z * (_ONE_PLUS_FIT - _TWICE_FIT * z * z) * math.cos(th),
     )
 
 
@@ -156,7 +158,8 @@ def integrate(
 
     times = dtau * np.arange(steps + 1)
     zc = np.clip(zs, -1.0, 1.0)  # shield energy evaluation from 1e-9 excursions
-    energies = -(Lambda / 2.0) * zc**2 - (1.0 - zc**2) * (1.0 - 0.21 * zc**2) * np.cos(ths)
+    energies = (-(Lambda / 2.0) * zc**2
+                - (1.0 - zc**2) * (1.0 - _OVERLAP_FIT * zc**2) * np.cos(ths))
     return Trajectory(times=times, z=zs, theta=ths, energies=energies)
 
 
@@ -172,7 +175,7 @@ def steady_states(Lambda: float) -> list[SteadyState]:
         raise ValueError(f"Lambda must be >= 0, got {Lambda}")
     out = [SteadyState(z=0.0, theta=0.0, branch="symmetric")]
     if _LAMBDA_LO < Lambda <= _LAMBDA_HI:
-        z = math.sqrt(max(0.0, (1.21 - Lambda / 2.0) / 0.42))
+        z = math.sqrt(max(0.0, (_ONE_PLUS_FIT - Lambda / 2.0) / _TWICE_FIT))
         out.append(SteadyState(z=+z, theta=0.0, branch="self-trapped+"))
         out.append(SteadyState(z=-z, theta=0.0, branch="self-trapped-"))
     if 0.0 < Lambda <= _LAMBDA_LO:
@@ -229,7 +232,7 @@ def kappa_eff(z: float, kappa: float) -> float:
         raise ValueError(f"|z| must be <= 1, got {z}")
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    return kappa * (1.0 - 0.21 * z * z) * math.sqrt(1.0 - z * z)
+    return kappa * (1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z)
 
 
 def lambda_eff(z: float, Lambda: float) -> float:
@@ -240,7 +243,7 @@ def lambda_eff(z: float, Lambda: float) -> float:
     """
     if not abs(z) < 1.0:
         raise ValueError(f"|z| must be < 1, got {z}")
-    return Lambda / ((1.0 - 0.21 * z * z) * math.sqrt(1.0 - z * z))
+    return Lambda / ((1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z))
 
 
 def wrap_phase(theta: float | np.ndarray) -> float | np.ndarray:

@@ -15,9 +15,10 @@ Matrix elements (N particles, dimensionless coupling c):
                              + [1 - 0.21 (2(n+1)/N - 1)^2] (N-n) sqrt(n(n+1)) )
 
 The 0.21 factor is the quadratic fit of the soliton overlap integral, see
-:func:`sjj.meanfield.overlap_integral`.  Both coefficient sets are mirror
-symmetric under n -> N-n; the builder evaluates the lower half and reflects
-it so the symmetry holds bit-exactly.
+:func:`sjj.meanfield.overlap_integral`; it is defined once, as
+``_OVERLAP_FIT``, and the mean-field and Hartree constants derive from it.
+Both coefficient sets are mirror symmetric under n -> N-n; the builder
+evaluates the lower half and reflects it so the symmetry holds bit-exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
     "build_hamiltonian",
     "apply_hamiltonian",
 ]
+
+# quadratic fit I(z) ~= 1 - 0.21 z^2 of the soliton overlap integral
+_OVERLAP_FIT = 0.21
 
 
 class ModelKind(enum.Enum):
@@ -145,8 +149,8 @@ def build_hamiltonian(params: TwoModeParams) -> TridiagonalHamiltonian:
     if params.kind is ModelKind.BJJ:
         low = -np.sqrt((j + 1.0) * (N - j)) / N
     else:
-        w1 = 1.0 - 0.21 * (2.0 * j / N - 1.0) ** 2
-        w2 = 1.0 - 0.21 * (2.0 * (j + 1.0) / N - 1.0) ** 2
+        w1 = 1.0 - _OVERLAP_FIT * (2.0 * j / N - 1.0) ** 2
+        w2 = 1.0 - _OVERLAP_FIT * (2.0 * (j + 1.0) / N - 1.0) ** 2
         t1 = w1 * (j + 1.0) * np.sqrt((N - j) * (N - j - 1.0))
         t2 = w2 * (N - j) * np.sqrt(j * (j + 1.0))
         low = -(t1 + t2) / N**2

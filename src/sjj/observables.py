@@ -213,11 +213,14 @@ def refine_minimum(
     """Locate the minimum of f by iterated local grid refinement.
 
     Scans the given grid, then repeatedly subdivides a one-step bracket
-    around the current argmin until the local step drops below refine_to.
+    around the current argmin until the local step drops below refine_to,
+    which must be >= 0.
     Returns (x_min, f_min, all x evaluated).  The minimum of the witness
     sits in an extremely narrow coupling window for the soliton model, which
     is what the refinement is for.
     """
+    if not refine_to >= 0.0:
+        raise ValueError(f"refine_to must be >= 0, got {refine_to}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -279,11 +282,14 @@ def crossover_coupling(
       peaks have migrated all the way to the edges.
     * "hz_jump": the first-order witness has jumped above 0.75.
 
-    Bisection to ``tol`` in coupling; the initial bracket expands upward by
-    doubling until the predicate holds.
+    Bisection to ``tol`` >= 0 in coupling, or until the bracket's ends are
+    adjacent floats; the initial bracket expands upward by doubling until the
+    predicate holds.
     """
     if n_total < 4:
         raise ValueError(f"n_total must be >= 4, got {n_total}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if criterion not in _CROSSOVER_PREDICATES:
         raise ValueError(f"criterion must be one of {_CROSSOVER_PREDICATES}, got {criterion!r}")
 
@@ -309,6 +315,8 @@ def crossover_coupling(
             raise ValueError("predicate never satisfied on the search bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: the bracket cannot shrink
         if predicate(mid):
             hi = mid
         else:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sjj.cli import main
+from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
 
 
 def run(tmp_path, name, argv):
@@ -223,6 +223,32 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["crossover", "--model", "sjj", "--n", "50", "--criterion", "bogus"])
     assert exc.value.code == 2
+
+
+def test_grid_point_bound():
+    assert len(_parse_grid(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+    for spec in (f"0:{_MAX_GRID_POINTS}:1", "0:1:1e-9", "0:1:1e-300", "0:inf:1", "nan:1:1"):
+        with pytest.raises(ValueError, match="at most"):
+            _parse_grid(spec)
+
+
+def test_oversized_grid_is_usage_error(capsys):
+    # rejected from the point count, before the grid is allocated
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--model", "sjj", "--n", "4", "--grid", "0:1:1e-9"])
+    assert exc.value.code == 2
+    assert f"at most {_MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["crossover", "--model", "sjj", "--n", "4", "--tol", "-1"],
+    ["hz", "--model", "sjj", "--n", "4", "--grid", "0.5:1:0.5", "--refine-to", "-1"],
+])
+def test_negative_tolerance_is_domain_error(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*args, "-o", str(out)]) == 3
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path, capsys):

@@ -207,14 +207,14 @@ def test_ground_state_hand_assembled_non_mirror():
 
 
 def test_ground_state_rebuild_disagreement_raises(monkeypatch):
-    lowest_pair = eigensolve._lowest_pair
+    eigvalsh = scipy.linalg.eigvalsh_tridiagonal
 
-    def perturbed(h):
-        energies, vectors = lowest_pair(h)
-        energies[0] += 1e-9  # the recurrence then misses the eigenvector
-        return energies, vectors
+    def perturbed(*args, **kwargs):
+        # E0 comes from whole-chain bisection; the recurrence then misses
+        # the eigenvector
+        return eigvalsh(*args, **kwargs) + 1e-9
 
-    monkeypatch.setattr(eigensolve, "_lowest_pair", perturbed)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", perturbed)
     with pytest.raises(eigensolve.EigensolveError, match="rebuilt ground vector"):
         ground_state(build_hamiltonian(TwoModeParams(SJJ, 40, 1.0)))
 
@@ -343,3 +343,38 @@ def test_eigenvalues_sector_union_equals_full_chain(kind, n_total, coupling):
     whole = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag)
     energies = eigenvalues(h)
     assert np.all(np.abs(energies - whole) <= 1e-13 * np.maximum(1.0, np.abs(whole)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([SJJ, BJJ]),
+    n_total=st.integers(min_value=1, max_value=80),
+    coupling=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_eigen_decompose_sector_columns(kind, n_total, coupling):
+    h = _built(kind, n_total, coupling)
+    spec = eigen_decompose(h)
+    for k in range(spec.dimension):
+        v = spec.vectors[:, k]
+        # bitwise even or odd, with the parity of level k alternating
+        assert np.array_equal(v, (-1) ** k * v[::-1])
+    scale = np.maximum(1.0, np.abs(spec.energies))
+    dense = dense_from_tridiagonal(h.diag, h.offdiag)
+    resid = dense @ spec.vectors - spec.vectors * spec.energies
+    assert np.all(np.max(np.abs(resid), axis=0) <= 1e-10 * scale)
+    gram = spec.vectors.T @ spec.vectors
+    assert np.max(np.abs(gram - np.eye(spec.dimension))) <= 1e-12
+    assert np.all(np.abs(spec.energies - eigenvalues(h)) <= 1e-13 * scale)
+
+
+def test_eigen_decompose_ground_column_even_when_odd_level_computes_lower():
+    # the ground pair is a doublet below double precision here, and the odd
+    # block's lowest level computes ~1e-15 below the even block's: merging
+    # the blocks by sorting on energy would put the odd vector in column 0
+    h = build_hamiltonian(TwoModeParams(SJJ, 40, 2.7))
+    even, odd = eigensolve._sectors(h)
+    assert scipy.linalg.eigh_tridiagonal(*odd)[0][0] < scipy.linalg.eigh_tridiagonal(*even)[0][0]
+    column = eigen_decompose(h).vectors[:, 0]
+    assert np.array_equal(column, column[::-1])
+    _, state = ground_state(h)
+    assert np.max(np.abs(state.amps - column)) <= 1e-13

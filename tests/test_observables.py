@@ -188,6 +188,16 @@ def test_refine_minimum_quadratic():
         refine_minimum(lambda x: x, np.array([]))
 
 
+@pytest.mark.parametrize("refine_to", [-1.0, math.nan])
+def test_refine_minimum_rejects_negative_step_floor(refine_to):
+    # with a negative floor the refinement would never end: the local step
+    # stops at 0
+    calls = []
+    with pytest.raises(ValueError, match="refine_to"):
+        refine_minimum(calls.append, np.arange(0.0, 1.0001, 0.5), refine_to=refine_to)
+    assert calls == []
+
+
 def test_cj_scan_consistency():
     grid = np.arange(0.8, 1.3 + 1e-9, 0.05)
     res = cj_scan(BJJ, 50, grid)
@@ -252,3 +262,19 @@ def test_crossover_validation():
         crossover_coupling(SJJ, 300, criterion="nope")
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 300, bracket=(3.0, 4.0))  # already past the flip
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_crossover_rejects_negative_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        crossover_coupling(SJJ, 300, tol=tol)
+
+
+def test_crossover_tolerance_below_float_spacing_returns():
+    # the bracket cannot shrink past adjacent floats, so a tolerance at or
+    # below their spacing must end the bisection there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference = crossover_coupling(SJJ, 4, tol=1e-15)
+        for tol in (0.0, 1e-20):
+            assert abs(crossover_coupling(SJJ, 4, tol=tol) - reference) <= 1e-15
