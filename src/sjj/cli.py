@@ -214,17 +214,20 @@ def _cmd_hz(resolved: dict) -> None:
 
     # couplings are keyed at 1e-12 resolution so refinement levels cannot
     # produce near-duplicate rows that collide at the printed precision
-    keys = [round(float(c), 12) for c in grid]
-    rows = {c: _hz_row(kind, n, c) for c in keys}
+    rows: dict[float, tuple] = {}
+
+    def hz1_cached(coupling: float) -> float:
+        c = round(coupling, 12)
+        if c not in rows:
+            rows[c] = _hz_row(kind, n, c)
+        return rows[c][1]
 
     if resolved["refine"]:
-        def hz1_cached(coupling: float) -> float:
-            c = round(coupling, 12)
-            if c not in rows:
-                rows[c] = _hz_row(kind, n, c)
-            return rows[c][1]
-
+        # scans the grid itself, after checking refine_to and the grid
         refine_minimum(hz1_cached, grid, refine_to=float(resolved["refine_to"]))
+    else:
+        for c in grid:
+            hz1_cached(float(c))
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
                 [rows[c] for c in sorted(rows)])

@@ -1,12 +1,14 @@
 """Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
 
-The matrices are symmetric tridiagonal and are solved by the LAPACK routines
-wrapped by scipy.  ``eigen_decompose`` gets every level with its vector and
-serves ``propagate`` and the loss channel; ``eigenvalues`` gets the energies
-alone from the root-free QR iteration (``sterf``) and serves the spectrum
-sweep; ``ground_state`` and ``energy_gap`` need only the lowest levels and
-get them by bisection (``stebz``, plus inverse iteration ``stein`` for the
-ground vector), which costs O(N) instead of O(N^2).
+The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets every
+level with its vector from LAPACK (through scipy) and serves ``propagate``
+and the loss channel; ``eigenvalues`` gets the energies alone from LAPACK's
+root-free QR iteration (``sterf``) and serves the spectrum sweep.  scipy is
+imported on the first of those calls only.  ``ground_state`` and
+``energy_gap`` need only the lowest levels and get them in pure Python by
+Sturm-count bisection (Barth, Martin & Wilkinson 1967, Numer. Math. 9, 386;
+the algorithm inside LAPACK ``stebz``), which costs O(N) per step and needs
+no LAPACK.
 
 * Mirror symmetry.  Every built Hamiltonian commutes with the mirror
   n -> N-n and has couplings <= 0.  A centrosymmetric matrix splits exactly
@@ -25,22 +27,24 @@ ground vector), which costs O(N) instead of O(N^2).
   above 1e-12 is made positive, so repeated runs are bit-comparable.
 
 The ground vector of a mirror-symmetric chain with negative couplings (every
-built Hamiltonian with N >= 2) is then rebuilt from its three-term
-recurrence, run in the stable direction on each side of the peak: from the
-edge n = 0 up to the peak, and from the centre, closed by the mirror
-condition, down to the peak (a twisted factorisation; Fernando 1997, Dhillon
-& Parlett 2004).  The ratios are accumulated as logarithms, so every
-amplitude is accurate relative to its own size, down to the double-precision
-underflow, and strictly positive above it.
+built Hamiltonian with N >= 2) is built from its three-term recurrence, run
+in the stable direction on each side of a twist row: from the edge n = 0 up
+to the twist, and from the centre, closed by the mirror condition, down to
+it (a twisted factorisation; Fernando 1997, Dhillon & Parlett 2004).  The
+twist is the row where the twisted factorisations of the even block just
+below E0 have their smallest |gamma_k|, which is where the vector is
+largest.  The ratios are accumulated as logarithms, so every amplitude is
+accurate relative to its own size, down to the double-precision underflow,
+and strictly positive above it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import FockState, TridiagonalHamiltonian, apply_hamiltonian
 
@@ -55,11 +59,19 @@ __all__ = [
 ]
 
 _SIGN_FLOOR = 1e-12
+# a zero pivot of a Sturm sequence becomes the smallest normal double times
+# max(1, max b^2), so the next quotient b^2/q stays finite (LAPACK's pivmin)
+_TINY = sys.float_info.min
 # largest residual |H a - E a| / (sqrt(N+1) max(1, |E|)) of an accepted
 # rebuilt ground vector: twisted at its largest component, the residual is
 # at most sqrt(N+1) times the energy's error (Dhillon & Parlett 2004), and
 # bisection gets the energy to a few ulps
 _REBUILD_RESIDUAL = 1e-13
+# relative distance below E0 at which the twist index is taken: far above
+# the rounding of the pivots (~N eps), and below the gap to the next even
+# level, which is smallest at an avoided crossing (2.4e-8 at SJJ N = 100,
+# coupling 2.0030709)
+_TWIST_SHIFT = 1e-10
 
 
 class EigensolveError(RuntimeError):
@@ -80,10 +92,14 @@ class Spectrum:
         return len(self.energies)
 
 
-def _tridiagonal(solver, diag: np.ndarray, offdiag: np.ndarray, **options):
-    """Call one of scipy's tridiagonal solvers, a failure as EigensolveError."""
+def _tridiagonal(solver: str, diag: np.ndarray, offdiag: np.ndarray, **options):
+    """Call the tridiagonal solver ``scipy.linalg.<solver>``, a failure as
+    EigensolveError.  scipy is imported here, so only the callers that need
+    LAPACK load it."""
+    import scipy.linalg
+
     try:
-        return solver(diag, offdiag, **options)
+        return getattr(scipy.linalg, solver)(diag, offdiag, **options)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolveError(f"tridiagonal eigensolver did not converge: {exc}") from exc
 
@@ -135,6 +151,90 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first component above 1e-12 of every (unit) column positive."""
     first = np.argmax(np.abs(vectors) > _SIGN_FLOOR, axis=0)
     return vectors * np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def _sturm_eigenvalue(
+    diag: np.ndarray, offdiag: np.ndarray, k: int, lo: float | None = None
+) -> float:
+    """Level k (0 = lowest) of a symmetric tridiagonal matrix by Sturm-count
+    bisection down to adjacent floats: the largest float it finds with at
+    most k levels below it.
+
+    The count is the number of negative pivots of the LDL^T factorisation of
+    the matrix minus x (Sylvester's law of inertia), and stops as soon as it
+    exceeds k.  ``lo`` must have at most k levels below it; it defaults to
+    the Gershgorin bound.  Pure Python over lists, O(N) per step.
+    """
+    d = diag.tolist()
+    if not 0 <= k < len(d):
+        raise ValueError(f"level {k} does not exist for dimension {len(d)}")
+    b2 = [0.0] + (offdiag * offdiag).tolist()
+    pivmin = _TINY * max(1.0, max(b2))
+    radius = np.zeros(len(d))
+    radius[1:] += np.abs(offdiag)
+    radius[:-1] += np.abs(offdiag)
+    bottom, top = float(np.min(diag - radius)), float(np.max(diag + radius))
+    # covers the rounding of the bounds, a few ulps of the largest row sum
+    pad = 4.0 * sys.float_info.epsilon * max(abs(bottom), abs(top)) + pivmin
+    lo = bottom - pad if lo is None else lo
+    hi = top + pad
+
+    def above(x: float) -> bool:  # more than k levels below x
+        left, q = k, 1.0
+        for dj, bj2 in zip(d, b2):
+            q = (dj - x) - bj2 / q
+            if q <= 0.0:
+                if q == 0.0:
+                    q = pivmin
+                elif left:
+                    left -= 1
+                else:
+                    return True
+        return False
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _pivots(shifted: list[float], b2: list[float]) -> list[float]:
+    """Pivots of the LDL^T factorisation of the tridiagonal with diagonal
+    ``shifted`` and squared couplings ``b2``, which must be positive definite."""
+    out, q = [], 1.0
+    for dj, bj2 in zip(shifted, [0.0] + b2):
+        q = dj - bj2 / q
+        out.append(q)
+    return out
+
+
+def _twist_index(
+    diag: np.ndarray, offdiag: np.ndarray, energy: float, centre_scale: float
+) -> int:
+    """Row of the largest component of the lowest eigenvector, ``energy``
+    its eigenvalue, from the twisted factorisations of the block (Dhillon &
+    Parlett 2004): gamma_k = D+_k + D-_k - (d_k - x) from one forward and one
+    backward pivot sweep, where 1/gamma_k = ((T - x)^-1)_kk ~ v_k^2 / (E - x).
+
+    x sits _TWIST_SHIFT max(1, |E|) below E: there T - x is positive
+    definite, and gamma_k stands well clear of rounding, which at x = E
+    itself would swamp it.  ``centre_scale`` weights the last row's gamma
+    against the others: an even block of a chain with N even holds the
+    centre amplitude as is and every other amplitude times sqrt(2), so 0.5
+    picks the largest Fock-basis amplitude there.
+    """
+    x = energy - _TWIST_SHIFT * max(1.0, abs(energy))
+    shifted = (diag - x).tolist()
+    b2 = (offdiag * offdiag).tolist()
+    forward = _pivots(shifted, b2)
+    backward = _pivots(shifted[::-1], b2[::-1])[::-1]
+    gamma = [f + b - s for f, b, s in zip(forward, backward, shifted)]
+    gamma[-1] *= centre_scale
+    return gamma.index(min(gamma))
 
 
 def _even_ground_vector(
@@ -190,10 +290,10 @@ def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
     """
     sectors = _sectors(h)
     if sectors is None:
-        energies, vectors = _tridiagonal(scipy.linalg.eigh_tridiagonal, h.diag, h.offdiag)
+        energies, vectors = _tridiagonal("eigh_tridiagonal", h.diag, h.offdiag)
     else:
         (even_e, even_v), (odd_e, odd_v) = (
-            _tridiagonal(scipy.linalg.eigh_tridiagonal, *block) for block in sectors
+            _tridiagonal("eigh_tridiagonal", *block) for block in sectors
         )
         dim = len(h.diag)
         energies = np.sort(np.concatenate((even_e, odd_e)))
@@ -216,7 +316,7 @@ def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
     sectors = _sectors(h)
     blocks = [(h.diag, h.offdiag)] if sectors is None else sectors
     energies = np.sort(np.concatenate([
-        _tridiagonal(scipy.linalg.eigvalsh_tridiagonal, *block, lapack_driver="sterf")
+        _tridiagonal("eigvalsh_tridiagonal", *block, lapack_driver="sterf")
         for block in blocks
     ]))
     energies.setflags(write=False)
@@ -226,36 +326,36 @@ def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
 def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     """Lowest eigenpair.
 
-    The energy comes from bisection on the whole chain, the vector from the
-    even block of a chain that ``_sectors`` splits (every built Hamiltonian)
-    and from the whole chain otherwise.  With all couplings < 0 (every built
-    Hamiltonian with N >= 2) the even vector is then rebuilt from the
-    recurrence, twisted at the peak of the block's vector, so the amplitudes
-    are real, strictly positive wherever they do not underflow, and accurate
-    relative to their own size in the exponentially small tails.
+    The energy is the lowest level of the even block of a chain that
+    ``_sectors`` splits (every built Hamiltonian), or of the whole chain
+    otherwise, by Sturm-count bisection.  With all couplings < 0 (every
+    built Hamiltonian with N >= 2) the vector is then built from the
+    recurrence, twisted where the twisted factorisations of the even block
+    put its largest component, so the amplitudes are real, strictly positive
+    wherever they do not underflow, and accurate relative to their own size
+    in the exponentially small tails.  Other matrices (SJJ at N = 1, whose
+    only coupling is 0, and hand-assembled ones) get the vector of the block
+    from LAPACK.
 
-    The rebuilt vector is checked by its residual alone: raises
+    The built vector is checked by its residual alone: raises
     EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
     as it does when E is not an eigenvalue to rounding.
     """
-    # the bisection energy_gap runs, so both see the same E0 bit for bit
-    energy = float(_tridiagonal(
-        scipy.linalg.eigvalsh_tridiagonal, h.diag, h.offdiag, select="i", select_range=(0, 1)
-    )[0])
     sectors = _sectors(h)
     block = (h.diag, h.offdiag) if sectors is None else sectors[0]
-    _, vectors = _tridiagonal(
-        scipy.linalg.eigh_tridiagonal, *block, select="i", select_range=(0, 0)
-    )
-    if sectors is not None:
-        vectors = _unfold(vectors, len(h.diag), 1.0)
-    vec = _fix_signs(vectors)[:, 0]
+    energy = _sturm_eigenvalue(*block, 0)
+    dim = len(h.diag)
     if sectors is not None and np.all(h.offdiag < 0.0):
-        c = (len(vec) - 1) // 2
-        vec = _even_ground_vector(h.diag, h.offdiag, energy, int(np.argmax(vec[: c + 1])))
+        peak = _twist_index(*block, energy, 0.5 if dim % 2 else 1.0)
+        vec = _even_ground_vector(h.diag, h.offdiag, energy, peak)
         residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
-        if residual > _REBUILD_RESIDUAL * math.sqrt(len(vec)) * max(1.0, abs(energy)):
+        if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
             raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
+    else:
+        _, vectors = _tridiagonal("eigh_tridiagonal", *block, select="i", select_range=(0, 0))
+        if sectors is not None:
+            vectors = _unfold(vectors, dim, 1.0)
+        vec = _fix_signs(vectors)[:, 0]
     return energy, FockState(vec.astype(complex))
 
 
@@ -279,8 +379,7 @@ def propagate(
 
 
 def energy_gap(h: TridiagonalHamiltonian) -> float:
-    """Gap between the two lowest levels, energies[1] - energies[0] >= 0."""
-    energies = _tridiagonal(
-        scipy.linalg.eigvalsh_tridiagonal, h.diag, h.offdiag, select="i", select_range=(0, 1)
-    )
-    return float(energies[1] - energies[0])
+    """Gap between the two lowest levels of the whole chain, >= 0: level 1 is
+    bisected from level 0 upward, so a degenerate pair gives exactly 0."""
+    e0 = _sturm_eigenvalue(h.diag, h.offdiag, 0)
+    return _sturm_eigenvalue(h.diag, h.offdiag, 1, lo=e0) - e0

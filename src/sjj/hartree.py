@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from .logspace import log_factorial
 from .meanfield import _LAMBDA_HI, _LAMBDA_LO
 from .model import _OVERLAP_FIT, FockState
 
@@ -124,7 +124,7 @@ def cat_overlap(Lambda: float, n_total: int) -> float:
 def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockState:
     """Binomial Fock expansion A_n = sqrt(C(N, n)) alpha^(N-n) beta^n.
 
-    Combinatorics run through log-gamma so N = 300 and beyond stay finite;
+    Combinatorics run through log n! so N = 300 and beyond stay finite;
     the result is renormalized (raw norm must already be 1 within 1e-9).
     """
     if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
@@ -132,7 +132,7 @@ def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockSta
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
     n = np.arange(n_total + 1)
-    log_mag = 0.5 * (gammaln(n_total + 1) - gammaln(n + 1) - gammaln(n_total - n + 1))
+    log_mag = 0.5 * (log_factorial(n_total) - log_factorial(n) - log_factorial(n_total - n))
     # zero amplitude wherever a zero base carries a positive power
     ok = np.ones(n_total + 1, dtype=bool)
     if alpha == 0.0:

@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from .logspace import log_factorial, logsumexp
 from .model import FockState
 
 __all__ = [
@@ -77,9 +77,8 @@ class ConditionalState:
 
 
 def _log_binom_weight(j: np.ndarray, l: int, eta: float) -> np.ndarray:
-    """log of C(j, l) eta^(j-l) (1-eta)^l, elementwise over j >= l."""
-    j = np.asarray(j, dtype=float)
-    out = gammaln(j + 1.0) - gammaln(l + 1.0) - gammaln(j - l + 1.0)
+    """log of C(j, l) eta^(j-l) (1-eta)^l, elementwise over integers j >= l."""
+    out = log_factorial(j) - log_factorial(l) - log_factorial(j - l)
     out += (j - l) * math.log(eta)
     if l > 0:
         if eta == 1.0:
@@ -171,6 +170,10 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
         okb = n >= l
         tb[okb, l] = np.exp(_log_binom_weight(n[okb], l, ch.eta_b))
     p_branch = np.einsum("n,na,nb->ab", probs, ta, tb)
+    if ch.eta_a == ch.eta_b and np.array_equal(probs, probs[::-1]):
+        # p[l_a, l_b] = p[l_b, l_a] for a mirror-symmetric state; make the
+        # tie exact, so (l_a, l_b) and not rounding orders each mirror pair
+        p_branch = 0.5 * (p_branch + p_branch.T)
 
     la_idx, lb_idx = np.nonzero(p_branch >= max(p_min, 0.0))
     order = sorted(

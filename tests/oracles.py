@@ -168,6 +168,56 @@ def random_balanced_state(rng: np.random.Generator, n_total: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def _mp_level(d, b, k: int, near: float | None = None):
+    """Level k (0 = lowest) of the tridiagonal (d, b), given as mpf lists,
+    by Sturm-count bisection at the current mpmath precision.  A guess
+    ``near`` only narrows the starting bracket to near -+ 1e-12 max(1, |near|)
+    if the counts there confirm that the level lies inside."""
+    import mpmath
+
+    b2 = [x * x for x in b]
+
+    def count_below(x) -> int:  # stops once it exceeds k
+        count, piv = 0, d[0] - x
+        for j in range(len(d)):
+            if j:
+                piv = d[j] - x - b2[j - 1] / (piv or mpmath.eps)
+            count += piv < 0
+            if count > k:
+                break
+        return count
+
+    radius = 2 * max((abs(x) for x in b), default=0)
+    lo = min(d) - radius
+    hi = max(d) + radius
+    if near is not None:
+        half = mpmath.mpf(1e-12) * max(1, abs(near))
+        if count_below(near - half) <= k < count_below(near + half):
+            lo, hi = near - half, near + half
+    while hi - lo > mpmath.mpf(2) ** (8 - mpmath.mp.prec) * (1 + abs(hi)):
+        mid = (lo + hi) / 2
+        if count_below(mid) > k:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def mp_tridiagonal_level(
+    diag: np.ndarray, offdiag: np.ndarray, k: int, near: float | None = None, dps: int = 24
+) -> float:
+    """Level k (0 = lowest) of the double-precision tridiagonal (diag,
+    offdiag), exact to well below one ulp: Sturm bisection in mpmath on the
+    matrix elements as given, no LAPACK.  ``near`` is an optional guess that
+    speeds it up; it is checked by the counts, not trusted."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return float(_mp_level([mpmath.mpf(float(x)) for x in diag],
+                               [mpmath.mpf(float(x)) for x in offdiag], k,
+                               None if near is None else mpmath.mpf(near)))
+
+
 def mp_ground_log10_probs(diag: np.ndarray, offdiag: np.ndarray, dps: int = 40) -> np.ndarray:
     """log10 p_n of the ground state of a mirror-symmetric chain, in mpmath.
 
@@ -183,26 +233,7 @@ def mp_ground_log10_probs(diag: np.ndarray, offdiag: np.ndarray, dps: int = 40) 
         with mpmath.workdps(prec_dps):
             d = [mpmath.mpf(float(x)) for x in diag]
             b = [mpmath.mpf(float(x)) for x in offdiag]
-            b2 = [x * x for x in b]
-
-            def count_below(x) -> int:
-                count, piv = 0, d[0] - x
-                for k in range(len(d)):
-                    if k:
-                        piv = d[k] - x - b2[k - 1] / (piv or mpmath.eps)
-                    count += piv < 0
-                return count
-
-            radius = 2 * max(abs(x) for x in b)
-            lo = min(d) - radius
-            hi = max(d) + radius
-            while hi - lo > mpmath.mpf(2) ** (8 - mpmath.mp.prec) * (1 + abs(hi)):
-                mid = (lo + hi) / 2
-                if count_below(mid) >= 1:
-                    hi = mid
-                else:
-                    lo = mid
-            energy = (lo + hi) / 2
+            energy = _mp_level(d, b, 0)
 
             n_total = len(d) - 1
             amps = [mpmath.mpf(1)]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sjj import cli, ground_state
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -249,6 +253,63 @@ def test_negative_tolerance_is_domain_error(args, tmp_path, capsys):
     assert main([*args, "-o", str(out)]) == 3
     assert "must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("refine_to", ["-1", "nan"])
+def test_hz_bad_refine_to_rejected_before_any_solve(refine_to, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return ground_state(h)
+
+    monkeypatch.setattr(cli, "ground_state", counting)
+    out = tmp_path / "hz.csv"
+    argv = ["hz", "--model", "sjj", "--n", "300", "--grid", "1.9:2.1:0.001",
+            "--refine-to", refine_to, "-o", str(out)]
+    assert main(argv) == 3
+    assert "refine_to must be >= 0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from sjj.cli import main
+commands = [
+    ["ground", "--model", "sjj", "--n", "40", "--coupling", "2"],
+    ["hz", "--model", "sjj", "--n", "40", "--grid", "1.9:2.1:0.1"],
+    ["crossover", "--model", "bjj", "--n", "40"],
+    ["meanfield", "--coupling", "4", "--z0", "0.6", "--tau-max", "1"],
+    ["hartree", "--coupling", "2", "--n", "40"],
+    ["physical", "--species", "li7", "--a-sc", "1.4e-9", "--omega-x", "439.8",
+     "--omega-perp", "4398.2", "--kappa-hz", "77", "--n", "300", "--a-perp", "1.4e-6"],
+]
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+for argv in commands:
+    assert main(argv + ["-o", sys.argv[1]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+for argv in (["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5"],
+             ["losses", "--model", "sjj", "--n", "10", "--coupling", "2", "--p-min", "1e-3"]):
+    assert main(argv + ["-o", sys.argv[1]]) == 0, argv
+print("scipy" in sys.modules)
+"""
+
+
+def test_ground_commands_never_import_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded_by_ground_commands, loaded_after_spectrum_and_losses = done.stdout.split("\n")[-3:-1]
+    assert loaded_by_ground_commands == "[]"
+    assert loaded_after_spectrum_and_losses == "True"
 
 
 def test_config_precedence(tmp_path, capsys):

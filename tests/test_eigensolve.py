@@ -20,7 +20,13 @@ from sjj import (
     propagate,
 )
 from sjj import eigensolve
-from oracles import dense_from_tridiagonal, jacobi_eigh, mp_ground_log10_probs, rk4_schrodinger
+from oracles import (
+    dense_from_tridiagonal,
+    jacobi_eigh,
+    mp_ground_log10_probs,
+    mp_tridiagonal_level,
+    rk4_schrodinger,
+)
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
 GROUND_SIZES = (1, 2, 3, 4, 5, 300, 301)
@@ -207,14 +213,14 @@ def test_ground_state_hand_assembled_non_mirror():
 
 
 def test_ground_state_rebuild_disagreement_raises(monkeypatch):
-    eigvalsh = scipy.linalg.eigvalsh_tridiagonal
+    sturm = eigensolve._sturm_eigenvalue
 
     def perturbed(*args, **kwargs):
-        # E0 comes from whole-chain bisection; the recurrence then misses
-        # the eigenvector
-        return eigvalsh(*args, **kwargs) + 1e-9
+        # E0 comes from Sturm bisection on the even block; the recurrence
+        # then misses the eigenvector
+        return sturm(*args, **kwargs) + 1e-9
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", perturbed)
+    monkeypatch.setattr(eigensolve, "_sturm_eigenvalue", perturbed)
     with pytest.raises(eigensolve.EigensolveError, match="rebuilt ground vector"):
         ground_state(build_hamiltonian(TwoModeParams(SJJ, 40, 1.0)))
 
@@ -378,3 +384,54 @@ def test_eigen_decompose_ground_column_even_when_odd_level_computes_lower():
     assert np.array_equal(column, column[::-1])
     _, state = ground_state(h)
     assert np.max(np.abs(state.amps - column)) <= 1e-13
+
+
+STURM_SIZES = (1, 2, 3, 4, 5, 40, 300, 301, 1000)
+STURM_COUPLINGS = (0.0, 0.5, 2.0009925, 4.0, 8.0)
+ULP = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("coupling", STURM_COUPLINGS)
+def test_sturm_levels_match_extended_precision(kind, coupling):
+    for n_total in STURM_SIZES:
+        h = _built(kind, n_total, coupling)
+        energy, _ = ground_state(h)
+        e0 = mp_tridiagonal_level(h.diag, h.offdiag, 0, near=energy)
+        e1 = mp_tridiagonal_level(h.diag, h.offdiag, 1, near=energy + energy_gap(h))
+        scale = 2.0 * ULP * max(1.0, abs(e0))
+        assert abs(energy - e0) <= scale
+        assert abs(eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 0) - e0) <= scale
+        assert abs(eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 1) - e1) <= scale
+        assert abs(energy_gap(h) - (e1 - e0)) <= 2.0 * scale
+
+
+def test_sturm_eigenvalue_rejects_missing_level():
+    h = build_hamiltonian(TwoModeParams(BJJ, 3, 1.0))
+    with pytest.raises(ValueError):
+        eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([SJJ, BJJ]),
+    n_total=st.integers(min_value=1, max_value=120),
+    coupling=st.floats(min_value=0.0, max_value=12.0),
+)
+def test_energy_gap_nonnegative(kind, n_total, coupling):
+    assert energy_gap(_built(kind, n_total, coupling)) >= 0.0
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+def test_twist_index_is_largest_ground_component(kind):
+    # the twist lands on the largest Fock-basis amplitude of the lowest even
+    # vector in the half n <= N/2, as the full solve gives it
+    for n_total in (2, 3, 4, 5, 40, 101, 300, 301):
+        for coupling in np.arange(0.0, 8.01, 0.25):
+            h = _built(kind, n_total, float(coupling))
+            energy, _ = ground_state(h)
+            even, _ = eigensolve._sectors(h)
+            centre_scale = 0.5 if n_total % 2 == 0 else 1.0
+            twist = eigensolve._twist_index(*even, energy, centre_scale)
+            column = eigen_decompose(h).vectors[:, 0]
+            assert twist == int(np.argmax(column[: n_total // 2 + 1]))

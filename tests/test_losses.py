@@ -164,6 +164,20 @@ def test_mixture_symmetric_branches(rng):
         assert np.max(np.abs(p - p[::-1])) <= 1e-12
 
 
+@pytest.mark.parametrize("n_total,coupling", [(40, 1.0), (60, 4.0), (121, 2.0009925)])
+def test_mixture_mirror_pairs_ordered_by_loss_counts(n_total, coupling):
+    # p(l_a, l_b) = p(l_b, l_a) exactly for a mirror-symmetric state and
+    # eta_a = eta_b, so the (l_a, l_b) tie-break, not rounding, must order
+    # every mirror pair
+    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, coupling)))
+    assert np.array_equal(g.probabilities, g.probabilities[::-1])
+    mix = loss_mixture(g, LossChannel(0.97, 0.97))
+    position = {(b.l_a, b.l_b): i for i, b in enumerate(mix)}
+    pairs = [(a, b) for a, b in position if a < b and (b, a) in position]
+    assert len(pairs) > 100
+    assert all(position[(a, b)] < position[(b, a)] for a, b in pairs)
+
+
 def test_ground_state_mixture_structure():
     # strongly coupled soliton ground state: the lossless branch dominates
     # and equal-loss branches stay N00N-like
