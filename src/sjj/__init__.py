@@ -61,6 +61,7 @@ from .observables import (
 from .losses import (
     ConditionalState,
     LossChannel,
+    TracedRows,
     ZeroProbabilityBranchError,
     bs_coefficient,
     conditional_state,
@@ -68,6 +69,7 @@ from .losses import (
     loss_mixture,
     one_body_decay,
     three_body_decay,
+    traced_mixture,
 )
 from .physical import (
     TrapParams,
@@ -127,6 +129,8 @@ __all__ = [
     "bs_coefficient",
     "conditional_state",
     "loss_mixture",
+    "TracedRows",
+    "traced_mixture",
     "three_body_decay",
     "one_body_decay",
     "gamma3",

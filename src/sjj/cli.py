@@ -8,8 +8,9 @@ hz          entanglement witnesses over a grid with automatic refinement
             around the first-order minimum (CSV: coupling,hz1,hzN,
             delta_parallel,j_parallel)
 meanfield   fixed-step trajectory (CSV: tau,z,theta,h,drift)
-losses      beam-splitter loss branches, traced (CSV: la,lb,n,prob) or a
-            single conditional branch via --la/--lb (CSV: n,prob)
+losses      beam-splitter loss branches of the ground state, traced (CSV:
+            la,lb,n,prob; rows below 1e-100 are not printed) or a single
+            conditional branch via --la/--lb (CSV: n,prob, every nonzero row)
 hartree     variational branches at one coupling (JSON)
 crossover   critical coupling by bisection (JSON)
 physical    laboratory-unit conversions (JSON)
@@ -25,8 +26,11 @@ usage error naming the key and the file.  Every flag is declared once, in
 _SPEC.  A --grid may have at most 100,000 points (_MAX_GRID_POINTS); a
 larger one is a usage error.  Sweeps evaluate their grid points in order on
 one thread; --threads (and config 'threads') is still accepted and must be a
-positive integer, but has no effect.  JSON payload keys are documented in
-schemas/cli_output.schema.json.
+positive integer, but has no effect.  The traced `losses` table leaves out
+rows whose joint probability is below _ROW_FLOOR = 1e-100 (not a flag):
+they carry 5.7e-98 together at the README configuration, and --p-min still
+selects whole branches by their probability.  JSON payload keys are
+documented in schemas/cli_output.schema.json.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
 4 numerical failure.
@@ -45,13 +49,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .eigensolve import EigensolveError, eigen_decompose, eigenvalues, ground_state
+from .eigensolve import EigensolveError, eigenvalues, ground_state
 from .hartree import cat_overlap, exact_branch_energy, stationary_solutions
 from .losses import (
     LossChannel,
     ZeroProbabilityBranchError,
     conditional_state,
-    loss_mixture,
+    traced_mixture,
 )
 from .meanfield import (
     _LAMBDA_HI,
@@ -60,7 +64,7 @@ from .meanfield import (
     MeanFieldState,
     integrate,
 )
-from .model import FockState, ModelKind, TwoModeParams, build_hamiltonian
+from .model import ModelKind, TwoModeParams, build_hamiltonian
 from .observables import (
     UndefinedCriterionError,
     crossover_coupling,
@@ -140,23 +144,25 @@ def _comment(command: str, resolved: dict) -> str:
     return f"# sjj {__version__} {payload}"
 
 
-def _emit_table(command: str, resolved: dict, columns: list[str], rows: list[tuple]) -> None:
+def _emit_table(command: str, resolved: dict, names: list[str], columns: list[list]) -> None:
+    """Write a table given as columns of Python ints or floats (``.tolist()``
+    lists); a column's type is read off its first value."""
     path = resolved["output"]
+    floats = [bool(col) and isinstance(col[0], float) for col in columns]
+    rows = zip(*columns)
     if resolved["format"] == "csv":
-        lines = [_comment(command, resolved), ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        line = ",".join("%.12g" if f else "%d" for f in floats)
+        lines = [_comment(command, resolved), ",".join(names), *(line % row for row in rows)]
         _write_text(path, "\n".join(lines) + "\n")
     else:
+        columns = [[float(_fmt(v)) for v in col] if f else col for col, f in zip(columns, floats)]
         obj = {
             "tool": "sjj",
             "version": __version__,
             "command": command,
             "config": _echoable(resolved),
-            "columns": columns,
-            "rows": [
-                [float(_fmt(v)) if isinstance(v, float) else v for v in row] for row in rows
-            ],
+            "columns": names,
+            "rows": [list(row) for row in zip(*columns)],
         }
         _write_text(path, json.dumps(obj, sort_keys=True, default=str) + "\n")
 
@@ -178,21 +184,24 @@ def _emit_object(command: str, resolved: dict, payload: dict) -> None:
 def _cmd_spectrum(resolved: dict) -> None:
     kind = ModelKind(resolved["model"])
     n = int(resolved["n"])
-    rows = [
-        (float(c), k, float(e))
-        for c in _parse_grid(resolved["grid"])
-        for k, e in enumerate(eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(c)))))
-    ]
-    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], rows)
+    grid = _parse_grid(resolved["grid"])
+    energies = [eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(c)))) for c in grid]
+    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], [
+        np.repeat(grid, n + 1).tolist(),
+        list(range(n + 1)) * len(grid),
+        np.concatenate(energies).tolist(),
+    ])
 
 
 def _cmd_ground(resolved: dict) -> None:
     kind = ModelKind(resolved["model"])
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
     _, state = ground_state(build_hamiltonian(params))
-    amps = state.amps.real
-    rows = [(k, float(p), float(a)) for k, (p, a) in enumerate(zip(state.probabilities, amps))]
-    _emit_table("ground", resolved, ["n", "prob", "amp"], rows)
+    _emit_table("ground", resolved, ["n", "prob", "amp"], [
+        list(range(params.n_total + 1)),
+        state.probabilities.tolist(),
+        state.amps.real.tolist(),
+    ])
 
 
 def _hz_row(kind: ModelKind, n: int, coupling: float) -> tuple:
@@ -230,7 +239,7 @@ def _cmd_hz(resolved: dict) -> None:
             hz1_cached(float(c))
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
-                [rows[c] for c in sorted(rows)])
+                [list(col) for col in zip(*(rows[c] for c in sorted(rows)))])
 
 
 def _cmd_meanfield(resolved: dict) -> None:
@@ -241,12 +250,19 @@ def _cmd_meanfield(resolved: dict) -> None:
         tau_max=float(resolved["tau_max"]),
         dtau=float(resolved["dtau"]),
     )
-    h0 = traj.energies[0]
-    rows = [
-        (float(t), float(z), float(th), float(h), float(h - h0))
-        for t, z, th, h in zip(traj.times, traj.z, traj.theta, traj.energies)
-    ]
-    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], rows)
+    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], [
+        traj.times.tolist(),
+        traj.z.tolist(),
+        traj.theta.tolist(),
+        traj.energies.tolist(),
+        (traj.energies - traj.energies[0]).tolist(),
+    ])
+
+
+# traced rows below this joint probability are not printed: at the README
+# configuration (SJJ, N = 300, coupling 4) all of them together carry
+# 5.7e-98, far below the 1e-12 to which the printed rows sum to 1
+_ROW_FLOOR = 1e-100
 
 
 def _cmd_losses(resolved: dict) -> None:
@@ -255,30 +271,20 @@ def _cmd_losses(resolved: dict) -> None:
     if (la is None) != (lb is None):
         raise _UsageError("--la and --lb must be given together")
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
-    # full solve, not ground_state: exact tails would multiply the rows printed below
-    state = FockState(eigen_decompose(build_hamiltonian(params)).vectors[:, 0].astype(complex))
+    _, state = ground_state(build_hamiltonian(params))
     ch = LossChannel(eta_a=float(resolved["eta_a"]), eta_b=float(resolved["eta_b"]))
 
     if la is not None:
         branch = conditional_state(state, int(la), int(lb), ch)
         probs = branch.state.probabilities
-        rows = [
-            (k + int(lb), float(p))
-            for k, p in enumerate(probs)
-            if p > 0.0
-        ]
+        nonzero = np.flatnonzero(probs > 0.0)
         resolved = {**resolved, "branch_probability": float(branch.probability)}
-        _emit_table("losses", resolved, ["n", "prob"], rows)
+        _emit_table("losses", resolved, ["n", "prob"],
+                    [(nonzero + int(lb)).tolist(), probs[nonzero].tolist()])
         return
 
-    branches = loss_mixture(state, ch, p_min=float(resolved["p_min"]))
-    rows = []
-    for br in branches:
-        for k, p in enumerate(br.state.probabilities):
-            joint = br.probability * float(p)
-            if joint > 0.0:
-                rows.append((br.l_a, br.l_b, k + br.l_b, joint))
-    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], rows)
+    rows = traced_mixture(state, ch, p_min=float(resolved["p_min"]), row_min=_ROW_FLOOR)
+    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], [col.tolist() for col in rows])
 
 
 def _cmd_hartree(resolved: dict) -> None:

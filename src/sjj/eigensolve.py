@@ -1,8 +1,8 @@
 """Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
 
 The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets every
-level with its vector from LAPACK (through scipy) and serves ``propagate``
-and the loss channel; ``eigenvalues`` gets the energies alone from LAPACK's
+level with its vector from LAPACK (through scipy) and serves ``propagate``;
+``eigenvalues`` gets the energies alone from LAPACK's
 root-free QR iteration (``sterf``) and serves the spectrum sweep.  scipy is
 imported on the first of those calls only.  ``ground_state`` and
 ``energy_gap`` need only the lowest levels and get them in pure Python by

@@ -15,6 +15,13 @@ Branches are normalized individually and carry their probability
 separately; summed over all (l_a, l_b) the probabilities are complete.
 The environment modes are never materialized, only the reduced branch data.
 
+One log-space kernel serves every form: the traced row
+|A_n|^2 B^n_{l_a,l_b} of the output mixture, the branch probability (the
+sum of a branch's rows over n) and the conditional state (one branch's
+rows, normalized).  The binomial weights are tabulated once per state as
+two (N+1) x (N+1) arrays, and the (l_a, l_b, n) row tensor is scanned a
+chunk of l_a at a time.
+
 Mean-field losses: one-body decay N(t) = N(0) exp(-gamma_1 t) and
 three-body recombination N(t) = N(0)/sqrt(1 + 2 L_3 rho^2 t) with effective
 rate gamma_3 = 2 L_3 rho^2.
@@ -24,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .logspace import log_factorial, logsumexp
+from .logspace import log_factorial
 from .model import FockState
 
 __all__ = [
@@ -37,6 +45,8 @@ __all__ = [
     "bs_coefficient",
     "conditional_state",
     "loss_mixture",
+    "TracedRows",
+    "traced_mixture",
     "three_body_decay",
     "one_body_decay",
     "gamma3",
@@ -76,15 +86,15 @@ class ConditionalState:
         return self.state.n_total
 
 
-def _log_binom_weight(j: np.ndarray, l: int, eta: float) -> np.ndarray:
-    """log of C(j, l) eta^(j-l) (1-eta)^l, elementwise over integers j >= l."""
-    out = log_factorial(j) - log_factorial(l) - log_factorial(j - l)
-    out += (j - l) * math.log(eta)
-    if l > 0:
-        if eta == 1.0:
-            return np.full_like(out, -np.inf)
-        out += l * math.log1p(-eta)
-    return out
+def _log_binom_weight(j, l, eta: float) -> np.ndarray:
+    """log of C(j, l) eta^(j-l) (1-eta)^l elementwise over integers j, l >= 0
+    (broadcast together); -inf where l > j, and where l > 0 at eta = 1."""
+    j, l = np.broadcast_arrays(j, l)
+    kept = np.where(l <= j, j - l, 0)
+    out = log_factorial(j) - log_factorial(l) - log_factorial(kept) + kept * math.log(eta)
+    # l log(1 - eta), with 0 log 0 = 0 at eta = 1
+    out = out + (l * math.log1p(-eta) if eta < 1.0 else np.where(l > 0, -np.inf, 0.0))
+    return np.where(l <= j, out, -np.inf)
 
 
 def bs_coefficient(n: int, l_a: int, l_b: int, n_total: int, ch: LossChannel) -> float:
@@ -97,9 +107,98 @@ def bs_coefficient(n: int, l_a: int, l_b: int, n_total: int, ch: LossChannel) ->
         raise ValueError(f"need 0 <= l_a <= {n_total - n}, got l_a = {l_a}")
     if not 0 <= l_b <= n:
         raise ValueError(f"need 0 <= l_b <= {n}, got l_b = {l_b}")
-    log_w = _log_binom_weight(np.array([n_total - n]), l_a, ch.eta_a)
-    log_w = log_w + _log_binom_weight(np.array([n]), l_b, ch.eta_b)
-    return float(np.exp(log_w[0]))
+    return float(np.exp(_log_binom_weight(n_total - n, l_a, ch.eta_a)
+                        + _log_binom_weight(n, l_b, ch.eta_b)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """Log-space factors of the traced rows
+
+        row(l_a, l_b, n) = |A_n|^2 Ta[n, l_a] Tb[n, l_b],
+
+    Ta and Tb the binomial weights of losing l_a of the N-n particles of
+    mode a and l_b of the n of mode b.  Each table holds one loss count per
+    row and n along the row.  A row is always summed as
+    (log Ta + log Tb) + log |A_n|^2: at eta_a = eta_b the first sum is the
+    same for (l_a, l_b, n) and (l_b, l_a, N-n), so a mirror-symmetric state
+    gives bit-identical mirror rows."""
+
+    amps: np.ndarray
+    log_p: np.ndarray  # log |A_n|^2, -inf where A_n = 0
+    log_ta: np.ndarray  # [l_a, n]
+    log_tb: np.ndarray  # [l_b, n]
+    mirror: bool  # eta_a = eta_b and |A_n| = |A_{N-n}|: P[l_a, l_b] = P[l_b, l_a]
+
+
+def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
+    n = np.arange(s.n_total + 1)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(s.probabilities)
+    return _Kernel(
+        amps=s.amps,
+        log_p=log_p,
+        log_ta=_log_binom_weight(s.n_total - n, n[:, None], ch.eta_a),
+        log_tb=_log_binom_weight(n, n[:, None], ch.eta_b),
+        mirror=ch.eta_a == ch.eta_b and np.array_equal(log_p, log_p[::-1]),
+    )
+
+
+# elements of one l_a chunk of the row tensor (8 MB); at N = 300 the whole
+# (l_a, l_b, n) tensor would take 218 MB
+_CHUNK = 1 << 20
+
+
+def _scan(k: _Kernel, row_min: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Branch probabilities P[l_a, l_b] = sum_n row(l_a, l_b, n), and the
+    (l_a, l_b, n, row) columns of the rows with row >= row_min and row > 0,
+    in (l_a, l_b, n) order.  The row tensor is built a chunk of l_a at a
+    time, each chunk cut to l_b <= N - l_a and n <= N - l_a for its first
+    l_a, past which every row of the chunk is 0."""
+    size = len(k.log_p)
+    prob = np.zeros((size, size))
+    found = []
+    step = max(1, _CHUNK // size**2)
+    for a0 in range(0, size, step):
+        m = size - a0
+        rows = k.log_ta[a0 : a0 + step, None, :m] + k.log_tb[None, :m, :m]
+        rows += k.log_p[:m]
+        np.exp(rows, out=rows)
+        branch = rows.sum(axis=-1)
+        prob[a0 : a0 + step, :m] = branch
+        # only a branch whose sum reaches row_min can hold such a row
+        la, lb = np.nonzero(branch >= row_min)
+        sub = rows[la, lb]
+        j, n = np.nonzero((sub >= row_min) & (sub > 0.0))
+        found.append((la[j] + a0, lb[j], n, sub[j, n]))
+    if k.mirror:
+        # make the tie exact, so (l_a, l_b) and not rounding orders each mirror pair
+        prob = 0.5 * (prob + prob.T)
+    return prob, tuple(np.concatenate(col) for col in zip(*found))
+
+
+def _branch(k: _Kernel, l_a: int, l_b: int, probability: float | None = None) -> ConditionalState:
+    """Conditional state of one branch from its slice of the kernel; the
+    probability is the row sum unless given."""
+    N = len(k.log_p) - 1
+    n = slice(l_b, N - l_a + 1)
+    log_w = k.log_ta[l_a, n] + k.log_tb[l_b, n]
+    log_rows = log_w + k.log_p[n]
+    if probability is None:
+        probability = float(np.sum(np.exp(log_rows)))
+    if probability == 0.0:
+        raise ZeroProbabilityBranchError(
+            f"detection event (l_a={l_a}, l_b={l_b}) has zero probability"
+        )
+    top = float(np.max(log_rows))
+    # A_n sqrt(B^n) scaled by exp(-top/2) so the largest |amplitude|^2 is 1:
+    # the tails keep their size relative to it wherever they stay above the
+    # double underflow
+    scaled = k.amps[n] * np.exp(0.5 * (log_w - top))
+    norm2 = float(np.sum(np.exp(log_rows - top)))
+    return ConditionalState(
+        l_a=l_a, l_b=l_b, probability=probability, state=FockState(scaled / math.sqrt(norm2))
+    )
 
 
 def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> ConditionalState:
@@ -107,90 +206,66 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
 
     Unnormalized amplitudes A_n sqrt(B^n_{l_a,l_b}) over n in [l_b, N-l_a],
     re-indexed to the (N - l_a - l_b)-particle basis; the branch probability
-    is sum_n |A_n|^2 B^n.  A zero-probability branch (an impossible
-    detection event, e.g. simultaneous loss from both modes of an ideal
-    N00N state) raises :class:`ZeroProbabilityBranchError`.
+    is sum_n |A_n|^2 B^n, the sum of the branch's traced rows.  A
+    zero-probability branch (an impossible detection event, e.g.
+    simultaneous loss from both modes of an ideal N00N state) raises
+    :class:`ZeroProbabilityBranchError`.
     """
     N = s.n_total
     if l_a < 0 or l_b < 0:
         raise ValueError("loss counts must be >= 0")
     if l_a + l_b > N:
         raise ValueError(f"cannot lose {l_a}+{l_b} particles out of {N}")
-    n = np.arange(l_b, N - l_a + 1)
-    log_w = _log_binom_weight(N - n, l_a, ch.eta_a) + _log_binom_weight(n, l_b, ch.eta_b)
-    raw = s.amps[n] * np.exp(0.5 * log_w)
+    return _branch(_kernel(s, ch), l_a, l_b)
 
-    # probability in log space: deep branches have weights far below the
-    # double floor, where direct products are pure underflow noise
-    p2 = np.abs(s.amps[n]) ** 2
-    with np.errstate(divide="ignore"):
-        log_p = np.where(p2 > 0.0, np.log(np.where(p2 > 0.0, p2, 1.0)), -np.inf)
-    finite = np.isfinite(log_p + log_w)
-    prob = float(np.exp(logsumexp((log_p + log_w)[finite]))) if np.any(finite) else 0.0
 
-    peak = float(np.max(np.abs(raw))) if raw.size else 0.0
-    if prob == 0.0 or peak == 0.0:
-        raise ZeroProbabilityBranchError(
-            f"detection event (l_a={l_a}, l_b={l_b}) has zero probability"
-        )
-    # rescale before normalizing: squared magnitudes of ~1e-170 amplitudes
-    # underflow, which would corrupt the norm
-    scaled = raw / peak
-    return ConditionalState(
-        l_a=l_a,
-        l_b=l_b,
-        probability=prob,
-        state=FockState(scaled / np.linalg.norm(scaled)),
-    )
+def _check_p_min(p_min: float) -> None:
+    if p_min < 0:
+        raise ValueError(f"p_min must be >= 0, got {p_min}")
 
 
 def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[ConditionalState]:
     """All loss branches with probability >= p_min, sorted by probability
     descending (ties broken by (l_a, l_b)).
 
-    Branch enumeration is exact, no sampling: the (l_a, l_b) grid is
-    O(N^2) with O(N) work per branch.  Impossible branches (probability
-    exactly 0, e.g. when eta = 1) are omitted; the complete p_min = 0 set
-    has probabilities summing to 1 within 1e-12.  p_min only truncates the
-    returned list, never the underlying enumeration.
+    Branch enumeration is exact, no sampling: every probability is the sum
+    of the branch's traced rows (see :func:`traced_mixture`).  Impossible
+    branches (probability exactly 0, e.g. when eta = 1) are omitted; the
+    complete p_min = 0 set has probabilities summing to 1 within 1e-12.
+    p_min only truncates the returned list, never the underlying
+    enumeration.
     """
-    if p_min < 0:
-        raise ValueError(f"p_min must be >= 0, got {p_min}")
-    N = s.n_total
-    probs = np.abs(s.amps) ** 2
-    n = np.arange(N + 1)
+    _check_p_min(p_min)
+    k = _kernel(s, ch)
+    prob, _ = _scan(k, math.inf)
+    la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
+    order = np.lexsort((lb, la, -prob[la, lb]))
+    return [_branch(k, a, b, float(prob[a, b])) for a, b in zip(la[order].tolist(), lb[order].tolist())]
 
-    # branch probabilities in one shot: p[l_a, l_b] = sum_n |A_n|^2 Ta[n,l_a] Tb[n,l_b]
-    ta = np.zeros((N + 1, N + 1))  # ta[n, l_a], weight of losing l_a of N-n
-    tb = np.zeros((N + 1, N + 1))  # tb[n, l_b], weight of losing l_b of n
-    for l in range(N + 1):
-        ja = N - n
-        oka = ja >= l
-        ta[oka, l] = np.exp(_log_binom_weight(ja[oka], l, ch.eta_a))
-        okb = n >= l
-        tb[okb, l] = np.exp(_log_binom_weight(n[okb], l, ch.eta_b))
-    p_branch = np.einsum("n,na,nb->ab", probs, ta, tb)
-    if ch.eta_a == ch.eta_b and np.array_equal(probs, probs[::-1]):
-        # p[l_a, l_b] = p[l_b, l_a] for a mirror-symmetric state; make the
-        # tie exact, so (l_a, l_b) and not rounding orders each mirror pair
-        p_branch = 0.5 * (p_branch + p_branch.T)
 
-    la_idx, lb_idx = np.nonzero(p_branch >= max(p_min, 0.0))
-    order = sorted(
-        zip(la_idx.tolist(), lb_idx.tolist()),
-        key=lambda ab: (-p_branch[ab[0], ab[1]], ab[0], ab[1]),
-    )
-    out = []
-    for l_a, l_b in order:
-        if p_branch[l_a, l_b] == 0.0 or l_a + l_b > N:
-            continue
-        try:
-            out.append(conditional_state(s, l_a, l_b, ch))
-        except ZeroProbabilityBranchError:
-            # the direct product sum and the log-space sum can disagree
-            # right at the underflow boundary
-            continue
-    return out
+class TracedRows(NamedTuple):
+    """Columns of the traced output state: the joint probability `prob` of
+    losing (l_a, l_b) particles and finding n in mode b before the loss."""
+
+    l_a: np.ndarray
+    l_b: np.ndarray
+    n: np.ndarray
+    prob: np.ndarray
+
+
+def traced_mixture(
+    s: FockState, ch: LossChannel, p_min: float = 0.0, row_min: float = 0.0
+) -> TracedRows:
+    """The rows |A_n|^2 Ta[n, l_a] Tb[n, l_b] of the branches with
+    probability >= p_min, ordered as :func:`loss_mixture` orders the
+    branches and by n within a branch.  Rows below row_min and rows that
+    are exactly 0 are left out; p_min still applies to the whole branch."""
+    _check_p_min(p_min)
+    prob, (la, lb, n, rows) = _scan(_kernel(s, ch), row_min)
+    branch = prob[la, lb]
+    kept = np.flatnonzero(branch >= p_min)
+    order = kept[np.argsort(-branch[kept], kind="stable")]
+    return TracedRows(la[order], lb[order], n[order], rows[order])
 
 
 def three_body_decay(n0: float, l3: float, rho: float, t: float) -> float:

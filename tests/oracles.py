@@ -4,8 +4,9 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: dense cyclic Jacobi rotations for the tridiagonal
 eigensolver, extended-precision Sturm bisection and recurrence for the
 ground-state tails, explicit fixed-step integration for the spectral propagator,
-dense ladder-operator matrices for the moment-based witnesses, and scipy's
-adaptive integrators for the mean-field flow and the overlap quadrature.
+dense ladder-operator matrices for the moment-based witnesses, term-by-term
+extended-precision products for the loss branches, and scipy's adaptive
+integrators for the mean-field flow and the overlap quadrature.
 """
 
 from __future__ import annotations
@@ -250,3 +251,28 @@ def mp_ground_log10_probs(diag: np.ndarray, offdiag: np.ndarray, dps: int = 40) 
     if moved > 1e-12:
         raise ArithmeticError(f"reference moved by {moved:.3g} dex between {dps} and {2 * dps} digits")
     return check
+
+
+def mp_loss_rows(amps: np.ndarray, eta_a: float, eta_b: float, dps: int = 40) -> np.ndarray:
+    """Traced loss rows rows[l_a, l_b, n] = |A_n|^2 C(N-n, l_a) eta_a^(N-n-l_a)
+    (1-eta_a)^l_a C(n, l_b) eta_b^(n-l_b) (1-eta_b)^l_b, 0 where a loss count
+    exceeds its mode's population.
+
+    Every term is a direct product of exact binomials and powers in mpmath,
+    no logarithms; summed over n they give the branch probabilities, and
+    divided by those, the conditional states.  Dense, O(N^3): for N <= ~20.
+    """
+    import mpmath
+
+    N = len(amps) - 1
+    rows = np.zeros((N + 1, N + 1, N + 1))
+    with mpmath.workdps(dps):
+        ea, eb = mpmath.mpf(float(eta_a)), mpmath.mpf(float(eta_b))
+        for n in range(N + 1):
+            p = abs(mpmath.mpc(complex(amps[n]))) ** 2
+            for la in range(N - n + 1):
+                wa = mpmath.binomial(N - n, la) * ea ** (N - n - la) * (1 - ea) ** la
+                for lb in range(n + 1):
+                    wb = mpmath.binomial(n, lb) * eb ** (n - lb) * (1 - eb) ** lb
+                    rows[la, lb, n] = float(p * wa * wb)
+    return rows

@@ -154,6 +154,61 @@ def test_losses_unbalanced_branch_ratio(tmp_path):
     assert abs(data[0, 1] / data[-1, 1] - expect) <= 1e-9 * expect
 
 
+def test_losses_readme_mixture_mirror_pairs_identical(tmp_path):
+    # SJJ ground state (mirror symmetric) at eta_a = eta_b: row (la, lb, n)
+    # and its mirror (lb, la, N - n) are equal in exact arithmetic, and the
+    # printed rows are equal byte for byte
+    rc, f = run(tmp_path, "full.csv", ["losses", "--model", "sjj", "--n", "300", "--coupling", "4"])
+    assert rc == 0
+    rows = [line.split(",") for line in f.read_text().splitlines()[2:]]
+    printed = {(int(a), int(b), int(n)): p for a, b, n, p in rows}
+    assert len(printed) == len(rows) > 40_000
+    differing = [key for key, p in printed.items()
+                 if printed.get((key[1], key[0], 300 - key[2])) != p]
+    assert differing == []
+    probs = [float(p) for *_, p in rows]
+    assert min(probs) >= 1e-100
+    # complete within 1e-12, plus the rounding of each row to 12 significant digits
+    assert abs(math.fsum(probs) - 1.0) <= 1e-12 + 5e-12
+
+
+@pytest.mark.parametrize("model", ["sjj", "bjj"])
+@pytest.mark.parametrize("n_total", [1, 2, 3])
+def test_losses_few_particles(model, n_total, tmp_path):
+    base = ["losses", "--model", model, "--n", str(n_total), "--coupling", "4",
+            "--eta-a", "0.9", "--eta-b", "0.8"]
+    rc, f = run(tmp_path, "mix.csv", base)
+    assert rc == 0
+    _, data = read_csv(f)
+    assert abs(math.fsum(data[:, 3]) - 1.0) <= 1e-12
+    assert np.all(data[:, 3] > 0.0)
+    assert np.all(data[:, 0] + data[:, 1] <= n_total)
+    rc, f = run(tmp_path, "branch.csv", base + ["--la", "1", "--lb", "0"])
+    assert rc == 0
+    _, data = read_csv(f)
+    assert abs(math.fsum(data[:, 1]) - 1.0) <= 1e-12
+    assert np.all((0 <= data[:, 0]) & (data[:, 0] <= n_total - 1))
+
+
+def test_losses_unit_transmission_keeps_only_no_loss_rows(tmp_path):
+    rc, f = run(tmp_path, "mix.csv", ["losses", "--model", "sjj", "--n", "20", "--coupling", "4",
+                                      "--eta-a", "1", "--eta-b", "1"])
+    assert rc == 0
+    _, data = read_csv(f)
+    assert np.all(data[:, :2] == 0.0)
+    assert np.array_equal(data[:, 2], np.arange(21))
+
+
+@pytest.mark.parametrize("counts", [("2", "2"), ("4", "0"), ("-1", "0"), ("0", "-2")])
+def test_losses_impossible_counts_exit3(counts, tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    rc = main(["losses", "--model", "sjj", "--n", "3", "--coupling", "4",
+               "--la", counts[0], "--lb", counts[1], "-o", str(out)])
+    assert rc == 3
+    assert "sjj losses:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_meanfield_numerical_failure_exit4(tmp_path):
     out = tmp_path / "blow.csv"
     rc = main(["meanfield", "--coupling", "0", "--z0", "0.97",
@@ -281,6 +336,9 @@ commands = [
     ["hz", "--model", "sjj", "--n", "40", "--grid", "1.9:2.1:0.1"],
     ["crossover", "--model", "bjj", "--n", "40"],
     ["meanfield", "--coupling", "4", "--z0", "0.6", "--tau-max", "1"],
+    ["losses", "--model", "sjj", "--n", "10", "--coupling", "2"],
+    ["losses", "--model", "sjj", "--n", "10", "--coupling", "2", "--p-min", "1e-3"],
+    ["losses", "--model", "sjj", "--n", "10", "--coupling", "2", "--la", "1", "--lb", "0"],
     ["hartree", "--coupling", "2", "--n", "40"],
     ["physical", "--species", "li7", "--a-sc", "1.4e-9", "--omega-x", "439.8",
      "--omega-perp", "4398.2", "--kappa-hz", "77", "--n", "300", "--a-perp", "1.4e-6"],
@@ -292,9 +350,7 @@ except SystemExit as exc:
 for argv in commands:
     assert main(argv + ["-o", sys.argv[1]]) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-for argv in (["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5"],
-             ["losses", "--model", "sjj", "--n", "10", "--coupling", "2", "--p-min", "1e-3"]):
-    assert main(argv + ["-o", sys.argv[1]]) == 0, argv
+assert main(["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5", "-o", sys.argv[1]]) == 0
 print("scipy" in sys.modules)
 """
 
@@ -307,9 +363,9 @@ def test_ground_commands_never_import_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    loaded_by_ground_commands, loaded_after_spectrum_and_losses = done.stdout.split("\n")[-3:-1]
-    assert loaded_by_ground_commands == "[]"
-    assert loaded_after_spectrum_and_losses == "True"
+    loaded_by_other_commands, loaded_after_spectrum = done.stdout.split("\n")[-3:-1]
+    assert loaded_by_other_commands == "[]"
+    assert loaded_after_spectrum == "True"
 
 
 def test_config_precedence(tmp_path, capsys):

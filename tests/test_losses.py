@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjj import (
     FockState,
@@ -18,8 +20,9 @@ from sjj import (
     noon_state,
     one_body_decay,
     three_body_decay,
+    traced_mixture,
 )
-from oracles import random_state
+from oracles import mp_loss_rows, random_state
 
 
 def satellite_noon(n_total: int, side: float = 1e-3) -> FockState:
@@ -189,6 +192,91 @@ def test_ground_state_mixture_structure():
     p = b11.state.probabilities
     assert p[0] + p[-1] > 0.9
     assert abs(p[0] - p[-1]) <= 1e-9
+
+
+def tailed_state(rng, n_total: int) -> FockState:
+    """Random phases on magnitudes falling tenfold every 0.2 steps: p_N ~ 1e-10N."""
+    amps = 10.0 ** (-5.0 * np.arange(n_total + 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_total + 1))
+    return FockState(amps / np.linalg.norm(amps))
+
+
+def dense_rows(s: FockState, ch: LossChannel) -> np.ndarray:
+    """Every traced row, as a (l_a, l_b, n) array with zeros where none is returned."""
+    rows = traced_mixture(s, ch)
+    out = np.zeros((s.n_total + 1,) * 3)
+    out[rows.l_a, rows.l_b, rows.n] = rows.prob
+    return out
+
+
+def assert_relative(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got > 0.0, want > 0.0)
+    nz = want > 0.0
+    assert np.max(np.abs(got[nz] - want[nz]) / want[nz], initial=0.0) <= rtol
+
+
+@pytest.mark.parametrize("n_total,eta", [
+    (1, (0.5, 0.5)), (2, (0.9, 0.75)), (7, (0.999, 0.999)), (12, (0.3, 1.0)), (20, (0.999, 0.998)),
+])
+def test_kernel_matches_mp_oracle(rng, n_total, eta):
+    # rows, branch probabilities and conditional states against term-by-term
+    # mpmath products, 1e-12 relative, down to tails of ~1e-260
+    ch = LossChannel(*eta)
+    states = [FockState(random_state(rng, n_total)), tailed_state(rng, n_total)]
+    if n_total >= 2:
+        states.append(ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 4.0)))[1])
+    for s in states:
+        ref = mp_loss_rows(s.amps, *eta)
+        ref_prob = ref.sum(axis=-1)
+        assert_relative(dense_rows(s, ch), ref)
+
+        mix = loss_mixture(s, ch)
+        prob = np.zeros_like(ref_prob)
+        for b in mix:
+            prob[b.l_a, b.l_b] = b.probability
+        assert_relative(prob, ref_prob)
+
+        for b in mix:
+            n = np.arange(b.l_b, n_total - b.l_a + 1)
+            want = ref[b.l_a, b.l_b, n] / ref_prob[b.l_a, b.l_b]
+            single = conditional_state(s, b.l_a, b.l_b, ch)
+            assert_relative(single.probability, ref_prob[b.l_a, b.l_b])
+            assert_relative(single.state.probabilities, want)
+            assert_relative(b.state.probabilities, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_total=st.integers(min_value=1, max_value=30),
+    eta_a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    eta_b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_loss_completeness_random_states(seed, n_total, eta_a, eta_b):
+    s = FockState(random_state(np.random.default_rng(seed), n_total))
+    ch = LossChannel(eta_a, eta_b)
+    assert abs(math.fsum(b.probability for b in loss_mixture(s, ch)) - 1.0) <= 1e-12
+    assert abs(math.fsum(traced_mixture(s, ch).prob.tolist()) - 1.0) <= 1e-12
+
+
+def test_traced_rows_order_and_floor(rng):
+    s = FockState(random_state(rng, 15))
+    ch = LossChannel(0.8, 0.9)
+    rows = traced_mixture(s, ch)
+    mix = loss_mixture(s, ch)
+    branches = [(b.l_a, b.l_b) for b in mix]
+    # branch blocks in loss_mixture's order, n ascending inside each
+    starts = np.flatnonzero(np.diff(rows.l_a * 100 + rows.l_b, prepend=-1))
+    assert [(rows.l_a[i], rows.l_b[i]) for i in starts] == branches
+    key = np.lexsort((rows.n, [branches.index(ab) for ab in zip(rows.l_a, rows.l_b)]))
+    assert np.array_equal(key, np.arange(len(key)))
+    floored = traced_mixture(s, ch, row_min=1e-6)
+    assert np.array_equal(floored.prob, rows.prob[rows.prob >= 1e-6])
+    cut = traced_mixture(s, ch, p_min=1e-3)
+    kept = {(b.l_a, b.l_b) for b in mix if b.probability >= 1e-3}
+    assert set(zip(cut.l_a.tolist(), cut.l_b.tolist())) == kept
+    with pytest.raises(ValueError):
+        traced_mixture(s, ch, p_min=-1.0)
 
 
 def test_three_body_decay():
