@@ -333,9 +333,9 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     recurrence, twisted where the twisted factorisations of the even block
     put its largest component, so the amplitudes are real, strictly positive
     wherever they do not underflow, and accurate relative to their own size
-    in the exponentially small tails.  Other matrices (SJJ at N = 1, whose
-    only coupling is 0, and hand-assembled ones) get the vector of the block
-    from LAPACK.
+    in the exponentially small tails.  SJJ at N = 1, whose only coupling is
+    0, has a 1 x 1 even block with the vector [1]; other matrices
+    (hand-assembled ones) get the vector of the block from LAPACK.
 
     The built vector is checked by its residual alone: raises
     EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
@@ -351,6 +351,8 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
         residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
         if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
             raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
+    elif len(block[0]) == 1:  # N = 1: the even block is 1 x 1, its vector [1]
+        vec = _unfold(np.ones((1, 1)), dim, 1.0)[:, 0]
     else:
         _, vectors = _tridiagonal("eigh_tridiagonal", *block, select="i", select_range=(0, 0))
         if sectors is not None:

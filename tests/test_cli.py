@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -333,6 +334,8 @@ import sys
 from sjj.cli import main
 commands = [
     ["ground", "--model", "sjj", "--n", "40", "--coupling", "2"],
+    ["ground", "--model", "sjj", "--n", "1", "--coupling", "4"],
+    ["losses", "--model", "sjj", "--n", "1", "--coupling", "4"],
     ["hz", "--model", "sjj", "--n", "40", "--grid", "1.9:2.1:0.1"],
     ["crossover", "--model", "bjj", "--n", "40"],
     ["meanfield", "--coupling", "4", "--z0", "0.6", "--tau-max", "1"],
@@ -496,6 +499,79 @@ def test_float_formatting(tmp_path):
     # 12 significant digits: sqrt(1/2) amplitude prints as 0.707106781187
     text = f.read_text()
     assert "0.707106781187" in text
+
+
+def _table_columns(rows):
+    rng = np.random.default_rng(rows)
+    return [np.arange(rows), rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows),
+            np.arange(rows, dtype=np.int32) * -3, rng.random(rows)]
+
+
+def _whole_document(fmt, resolved, names, columns):
+    """The table rendered in one piece from Python lists, as the writer did
+    before it streamed."""
+    cols = [col.tolist() for col in columns]
+    floats = [col.dtype.kind == "f" for col in columns]
+    if fmt == "csv":
+        meta = json.dumps({"command": "test", **resolved}, sort_keys=True)
+        lines = [f"# sjj {cli.__version__} {meta}", ",".join(names)]
+        lines += [",".join(f"{v:.12g}" if f else str(v) for v, f in zip(row, floats))
+                  for row in zip(*cols)]
+        return "\n".join(lines) + "\n"
+    cols = [[float(f"{v:.12g}") for v in col] if f else col for col, f in zip(cols, floats)]
+    obj = {"tool": "sjj", "version": cli.__version__, "command": "test", "config": resolved,
+           "columns": names, "rows": [list(row) for row in zip(*cols)]}
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+def test_streamed_table_equals_whole_document(fmt, rows, tmp_path):
+    names = ["i", "x", "j", "y"]
+    columns = _table_columns(rows)
+    out = tmp_path / f"table.{fmt}"
+    cli._emit_table("test", {"format": fmt, "output": str(out)}, names, columns)
+    assert out.read_text() == _whole_document(fmt, {"format": fmt}, names, columns)
+    if fmt == "json":
+        parsed = json.loads(out.read_text())["rows"]
+        assert len(parsed) == rows
+        # integer columns stay JSON integers, never strings or floats
+        assert all(type(row[0]) is int and type(row[2]) is int for row in parsed)
+        assert all(type(row[1]) is float and type(row[3]) is float for row in parsed)
+
+
+def test_failure_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
+    streamed = cli._chunks
+    seen = []
+
+    def failing(*args):
+        chunks = streamed(*args)
+        yield next(chunks)
+        seen.extend(tmp_path.glob(".sjj-*.tmp"))  # the first chunk went to the temp file
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(cli, "_chunks", failing)
+    out = tmp_path / "mf.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        main(["meanfield", "--coupling", "2", "--z0", "0.3", "--tau-max", "10", "-o", str(out)])
+    assert len(seen) == 1
+    assert not out.exists()
+    assert list(tmp_path.glob(".sjj-*.tmp")) == []
+
+
+def test_table_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    columns = [np.arange(100_000)] + [rng.normal(size=100_000) for _ in range(4)]
+    resolved = {"format": "csv", "output": str(tmp_path / "big.csv")}
+    tracemalloc.start()
+    try:
+        cli._emit_table("test", resolved, ["n", "a", "b", "c", "d"], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole document took 22 MB before its .tolist() lists were counted
+    assert peak < 6e6
+    assert len((tmp_path / "big.csv").read_text().splitlines()) == 2 + 100_000
 
 
 SCHEMA = json.loads(

@@ -435,3 +435,24 @@ def test_twist_index_is_largest_ground_component(kind):
             twist = eigensolve._twist_index(*even, energy, centre_scale)
             column = eigen_decompose(h).vectors[:, 0]
             assert twist == int(np.argmax(column[: n_total // 2 + 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([SJJ, BJJ]),
+    n_total=st.integers(min_value=1, max_value=120),
+    coupling=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_ground_state_unit_even_positive(kind, n_total, coupling):
+    _, state = ground_state(_built(kind, n_total, coupling))
+    amps = state.amps.real
+    assert np.all(state.amps.imag == 0.0)
+    assert abs(math.fsum((amps * amps).tolist()) - 1.0) <= 1e-13
+    assert np.array_equal(amps, amps[::-1])
+    assert np.all(amps >= 0.0)
+    # an amplitude reads 0 only where it underflows: next to amplitudes that
+    # are close to the underflow themselves, as adjacent ones differ by a
+    # bounded factor
+    zero = np.flatnonzero(amps == 0.0)
+    beside = np.concatenate((zero - 1, zero + 1))
+    assert np.all(amps[beside[(beside >= 0) & (beside <= n_total)]] < 1e-290)

@@ -22,6 +22,7 @@ from sjj import (
     three_body_decay,
     traced_mixture,
 )
+from sjj import losses
 from oracles import mp_loss_rows, random_state
 
 
@@ -257,6 +258,22 @@ def test_loss_completeness_random_states(seed, n_total, eta_a, eta_b):
     ch = LossChannel(eta_a, eta_b)
     assert abs(math.fsum(b.probability for b in loss_mixture(s, ch)) - 1.0) <= 1e-12
     assert abs(math.fsum(traced_mixture(s, ch).prob.tolist()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n_total", [15, 150])
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_row_chunk_size_changes_nothing(n_total, step, rng, monkeypatch):
+    # chunking the row tensor along l_a changes no row and no branch sum,
+    # not even by rounding
+    s = FockState(random_state(rng, n_total))
+    ch = LossChannel(0.8, 0.9)
+    monkeypatch.setattr(losses, "_CHUNK", (n_total + 1) ** 3)  # one chunk
+    whole = traced_mixture(s, ch)
+    branches = [(b.l_a, b.l_b, b.probability) for b in loss_mixture(s, ch)]
+    monkeypatch.setattr(losses, "_CHUNK", step * (n_total + 1) ** 2)
+    rows = traced_mixture(s, ch)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, whole))
+    assert [(b.l_a, b.l_b, b.probability) for b in loss_mixture(s, ch)] == branches
 
 
 def test_traced_rows_order_and_floor(rng):
