@@ -38,6 +38,12 @@ the writer's memory does not grow with the row count and a failed run,
 also one that fails mid-table, leaves no partial file.  The bytes are those
 of the whole document rendered at once.
 
+The module imports the standard library only; each command imports the
+sjj modules it calls, and numpy with them, when it runs.  So --version,
+hartree and physical start without numpy (hartree reads its window from
+sjj.overlap_fit), and only spectrum loads scipy.  A non-finite input that
+the library rejects is a domain error like any other.
+
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
 4 numerical failure.
 """
@@ -51,51 +57,30 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from .eigensolve import EigensolveError, eigenvalues, ground_state
-from .hartree import cat_overlap, exact_branch_energy, stationary_solutions
-from .losses import (
-    LossChannel,
-    ZeroProbabilityBranchError,
-    conditional_state,
-    traced_mixture,
-)
-from .meanfield import (
-    _LAMBDA_HI,
-    _LAMBDA_LO,
-    MeanFieldIntegrationError,
-    MeanFieldState,
-    integrate,
-)
-from .model import ModelKind, TwoModeParams, build_hamiltonian
-from .observables import (
-    UndefinedCriterionError,
-    crossover_coupling,
-    hz_criterion,
-    planar_squeezing,
-    refine_minimum,
-)
-from .physical import (
-    TrapParams,
-    atomic_mass,
-    coupling_Lambda,
-    coupling_lambda,
-    critical_atom_number,
-    nonlinearity_u,
-    wp_coefficient,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
 
-_DOMAIN_ERRORS = (ValueError, UndefinedCriterionError, ZeroProbabilityBranchError)
-_NUMERICAL_ERRORS = (EigensolveError, MeanFieldIntegrationError, FloatingPointError)
+# UndefinedCriterionError and ZeroProbabilityBranchError are ValueErrors
+_DOMAIN_ERRORS = (ValueError,)
+
+
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The numerical failures, imported only when an exception gets past the
+    domain errors in main: a command that never loads the solvers does not
+    load them to succeed or to report a domain error."""
+    from .eigensolve import EigensolveError
+    from .meanfield import MeanFieldIntegrationError
+
+    return (EigensolveError, MeanFieldIntegrationError, FloatingPointError)
 
 
 # about 500 times the largest grid in the README or the benchmark (201 points)
@@ -103,6 +88,8 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    import numpy as np
+
     try:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -212,6 +199,11 @@ def _emit_object(command: str, resolved: dict, payload: dict) -> None:
 
 
 def _cmd_spectrum(resolved: dict) -> None:
+    import numpy as np
+
+    from .eigensolve import eigenvalues
+    from .model import ModelKind, TwoModeParams, build_hamiltonian
+
     kind = ModelKind(resolved["model"])
     n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
@@ -224,6 +216,11 @@ def _cmd_spectrum(resolved: dict) -> None:
 
 
 def _cmd_ground(resolved: dict) -> None:
+    import numpy as np
+
+    from .eigensolve import ground_state
+    from .model import ModelKind, TwoModeParams, build_hamiltonian
+
     kind = ModelKind(resolved["model"])
     params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
     _, state = ground_state(build_hamiltonian(params))
@@ -234,19 +231,13 @@ def _cmd_ground(resolved: dict) -> None:
     ])
 
 
-def _hz_row(kind: ModelKind, n: int, coupling: float) -> tuple:
-    _, state = ground_state(build_hamiltonian(TwoModeParams(kind, n, coupling)))
-    sq = planar_squeezing(state)
-    return (
-        coupling,
-        hz_criterion(state, 1),
-        hz_criterion(state, n),
-        sq.delta_parallel,
-        sq.j_parallel,
-    )
-
-
 def _cmd_hz(resolved: dict) -> None:
+    import numpy as np
+
+    from .eigensolve import ground_state
+    from .model import ModelKind, TwoModeParams, build_hamiltonian
+    from .observables import hz_criterion, planar_squeezing, refine_minimum
+
     kind = ModelKind(resolved["model"])
     n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
@@ -258,7 +249,10 @@ def _cmd_hz(resolved: dict) -> None:
     def hz1_cached(coupling: float) -> float:
         c = round(coupling, 12)
         if c not in rows:
-            rows[c] = _hz_row(kind, n, c)
+            _, state = ground_state(build_hamiltonian(TwoModeParams(kind, n, c)))
+            sq = planar_squeezing(state)
+            rows[c] = (c, hz_criterion(state, 1), hz_criterion(state, n),
+                       sq.delta_parallel, sq.j_parallel)
         return rows[c][1]
 
     if resolved["refine"]:
@@ -273,6 +267,8 @@ def _cmd_hz(resolved: dict) -> None:
 
 
 def _cmd_meanfield(resolved: dict) -> None:
+    from .meanfield import MeanFieldState, integrate
+
     s0 = MeanFieldState(z=float(resolved["z0"]), theta=float(resolved["theta0"]))
     traj = integrate(
         s0,
@@ -296,6 +292,12 @@ _ROW_FLOOR = 1e-100
 
 
 def _cmd_losses(resolved: dict) -> None:
+    import numpy as np
+
+    from .eigensolve import ground_state
+    from .losses import LossChannel, conditional_state, traced_mixture
+    from .model import ModelKind, TwoModeParams, build_hamiltonian
+
     kind = ModelKind(resolved["model"])
     la, lb = resolved["la"], resolved["lb"]
     if (la is None) != (lb is None):
@@ -318,6 +320,9 @@ def _cmd_losses(resolved: dict) -> None:
 
 
 def _cmd_hartree(resolved: dict) -> None:
+    from .hartree import cat_overlap, exact_branch_energy, stationary_solutions
+    from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO
+
     coupling = float(resolved["coupling"])
     branches = [
         {
@@ -339,6 +344,9 @@ def _cmd_hartree(resolved: dict) -> None:
 
 
 def _cmd_crossover(resolved: dict) -> None:
+    from .model import ModelKind
+    from .observables import crossover_coupling
+
     kind = ModelKind(resolved["model"])
     value = crossover_coupling(
         kind,
@@ -350,6 +358,16 @@ def _cmd_crossover(resolved: dict) -> None:
 
 
 def _cmd_physical(resolved: dict) -> None:
+    from .physical import (
+        TrapParams,
+        atomic_mass,
+        coupling_Lambda,
+        coupling_lambda,
+        critical_atom_number,
+        nonlinearity_u,
+        wp_coefficient,
+    )
+
     mass = float(resolved["mass"]) if resolved.get("mass") is not None else atomic_mass(resolved["species"])
     tp = TrapParams(
         a_sc=float(resolved["a_sc"]),
@@ -544,12 +562,12 @@ def main(argv: list[str] | None = None) -> int:
         _SPEC[command].run(resolved)
     except _UsageError as exc:
         parser.error(str(exc))
-    except _NUMERICAL_ERRORS as exc:
-        print(f"sjj {command}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except _DOMAIN_ERRORS as exc:
         print(f"sjj {command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except _numerical_errors() as exc:
+        print(f"sjj {command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -19,18 +19,21 @@ whose stationary points are the branches returned by
 The shared quantity X = sqrt((Lambda - 1.58)/0.84) fixes both the S+-
 amplitudes and the cat-state overlap epsilon = X^N; it is defined once here
 so the two uses cannot drift apart.
+
+The branches and the overlap are closed-form scalars and need no numpy; the
+three functions that build Fock states import it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT
 
-from .logspace import log_factorial
-from .meanfield import _LAMBDA_HI, _LAMBDA_LO
-from .model import _OVERLAP_FIT, FockState
+if TYPE_CHECKING:
+    from .model import FockState
 
 __all__ = [
     "HartreeSolution",
@@ -69,8 +72,8 @@ def _branch_x_squared(Lambda: float) -> float:
 
 def stationary_solutions(Lambda: float) -> list[HartreeSolution]:
     """All variational stationary branches at the given coupling."""
-    if Lambda < 0:
-        raise ValueError(f"Lambda must be >= 0, got {Lambda}")
+    if not (math.isfinite(Lambda) and Lambda >= 0):
+        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
     r = 1.0 / math.sqrt(2.0)
     out = [HartreeSolution(s=0.0, alpha=r, beta=r, theta=0.0, energy=-1.0, branch="S0")]
     if _LAMBDA_LO <= Lambda < _LAMBDA_HI:
@@ -127,6 +130,11 @@ def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockSta
     Combinatorics run through log n! so N = 300 and beyond stay finite;
     the result is renormalized (raw norm must already be 1 within 1e-9).
     """
+    import numpy as np
+
+    from .logspace import log_factorial
+    from .model import FockState
+
     if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     if n_total < 1:
@@ -157,6 +165,8 @@ def cat_state(Lambda: float, n_total: int, sign: int = +1) -> FockState:
     """Superposition (|psi_+> +- |psi_->)/sqrt(2 (1 +- eps)) of the two
     imbalanced-branch coherent states; defined for 1.58 <= Lambda < 2.42
     (the '-' cat additionally needs eps < 1)."""
+    from .model import FockState
+
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     sols = {sol.branch: sol for sol in stationary_solutions(Lambda)}
@@ -174,6 +184,10 @@ def cat_state(Lambda: float, n_total: int, sign: int = +1) -> FockState:
 
 def noon_state(n_total: int, phase: float = 0.0) -> FockState:
     """Balanced N00N state (|N,0> + e^{i phase} |0,N>)/sqrt(2)."""
+    import numpy as np
+
+    from .model import FockState
+
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
     amps = np.zeros(n_total + 1, dtype=complex)

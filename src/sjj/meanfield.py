@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _OVERLAP_FIT
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT
 
 __all__ = [
     "MeanFieldState",
@@ -46,10 +46,6 @@ __all__ = [
 # the 1.21 and 0.42 of dtheta/dtau, bit for bit
 _ONE_PLUS_FIT = 1.0 + _OVERLAP_FIT
 _TWICE_FIT = 2.0 * _OVERLAP_FIT
-# imbalance window of the self-trapped steady branch, 1.58 and 2.42 bit for
-# bit; also the window of the Hartree imbalanced branches
-_LAMBDA_LO = 2.0 * (1.0 - _OVERLAP_FIT)
-_LAMBDA_HI = 2.0 * (1.0 + _OVERLAP_FIT)
 
 
 class MeanFieldIntegrationError(RuntimeError):
@@ -66,6 +62,8 @@ class MeanFieldState:
     def __post_init__(self):
         if not abs(self.z) <= 1.0:
             raise ValueError(f"|z| must be <= 1, got {self.z}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +123,15 @@ def integrate(
     The step is fixed (no adaptive control) so trajectories are reproducible;
     energy drift stays below 1e-8 for tau_max <= 100 at dtau <= 1e-3.  theta
     is reported unwrapped.  If |z| exceeds 1 by more than 1e-9 the run aborts
-    instead of clamping silently.
+    instead of clamping silently; a non-finite Lambda, tau_max or dtau is
+    rejected.
     """
-    if dtau <= 0:
-        raise ValueError(f"dtau must be > 0, got {dtau}")
-    if tau_max < 0:
-        raise ValueError(f"tau_max must be >= 0, got {tau_max}")
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    if not (math.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and > 0, got {dtau}")
+    if not (math.isfinite(tau_max) and tau_max >= 0):
+        raise ValueError(f"tau_max must be finite and >= 0, got {tau_max}")
 
     steps = int(round(tau_max / dtau))
     zs = np.empty(steps + 1)

@@ -16,7 +16,8 @@ Matrix elements (N particles, dimensionless coupling c):
 
 The 0.21 factor is the quadratic fit of the soliton overlap integral, see
 :func:`sjj.meanfield.overlap_integral`; it is defined once, as
-``_OVERLAP_FIT``, and the mean-field and Hartree constants derive from it.
+``_OVERLAP_FIT`` in the numpy-free :mod:`sjj.overlap_fit`, which also
+derives the mean-field and Hartree constants from it.
 Both coefficient sets are mirror symmetric under n -> N-n; the builder
 evaluates the lower half and reflects it so the symmetry holds bit-exactly.
 """
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .overlap_fit import _OVERLAP_FIT
+
 __all__ = [
     "ModelKind",
     "TwoModeParams",
@@ -37,9 +40,6 @@ __all__ = [
     "build_hamiltonian",
     "apply_hamiltonian",
 ]
-
-# quadratic fit I(z) ~= 1 - 0.21 z^2 of the soliton overlap integral
-_OVERLAP_FIT = 0.21
 
 
 class ModelKind(enum.Enum):

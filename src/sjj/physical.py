@@ -22,7 +22,7 @@ unit = 1.66054e-27 kg, m(7Li) = 7.01600 u, m(87Rb) = 86.9092 u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "HBAR",
@@ -69,6 +69,7 @@ class TrapParams:
     mass: particle mass in kg (see :func:`atomic_mass`).
     a_perp: optional explicit transverse length in meters; when omitted it
     is derived as sqrt(hbar/(mass omega_perp)).
+    Every field given must be finite.
     """
 
     a_sc: float
@@ -80,6 +81,10 @@ class TrapParams:
     a_perp: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not isinstance(value, int) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.omega_perp <= 0:
             raise ValueError(f"omega_perp must be > 0, got {self.omega_perp}")
         if self.omega_x < 0:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sjj import cli, ground_state
+from sjj import cli, eigensolve, ground_state
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -319,7 +319,8 @@ def test_hz_bad_refine_to_rejected_before_any_solve(refine_to, tmp_path, monkeyp
         calls.append(h)
         return ground_state(h)
 
-    monkeypatch.setattr(cli, "ground_state", counting)
+    # the handler imports ground_state from sjj.eigensolve when it runs
+    monkeypatch.setattr(eigensolve, "ground_state", counting)
     out = tmp_path / "hz.csv"
     argv = ["hz", "--model", "sjj", "--n", "300", "--grid", "1.9:2.1:0.001",
             "--refine-to", refine_to, "-o", str(out)]
@@ -358,17 +359,73 @@ print("scipy" in sys.modules)
 """
 
 
-def test_ground_commands_never_import_scipy(tmp_path):
+def _last_two_lines(script: str, tmp_path) -> list[str]:
+    """The last two lines a script prints, run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    loaded_by_other_commands, loaded_after_spectrum = done.stdout.split("\n")[-3:-1]
+    return done.stdout.split("\n")[-3:-1]
+
+
+def test_ground_commands_never_import_scipy(tmp_path):
+    loaded_by_other_commands, loaded_after_spectrum = _last_two_lines(_NO_SCIPY_SCRIPT, tmp_path)
     assert loaded_by_other_commands == "[]"
     assert loaded_after_spectrum == "True"
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+from sjj.cli import main
+physical = ["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
+            "--kappa-hz", "77"]
+commands = [
+    (["hartree", "--coupling", "2", "--n", "300"], 0),
+    (["hartree", "--coupling", "3"], 0),
+    (["hartree", "--coupling", "1", "--n", "300"], 0),
+    ([*physical, "--species", "li7", "--n", "300", "--a-perp", "1.4e-6"], 0),
+    ([*physical, "--species", "li7", "--n", "300"], 0),
+    ([*physical, "--species", "rb87", "--n", "300", "--a-perp", "1.4e-6"], 0),
+    ([*physical, "--species", "rb87", "--n", "300"], 0),
+    (["hartree", "--coupling", "-1"], 3),
+    ([*physical, "--n", "0"], 3),
+]
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+for argv, code in commands:
+    assert main(argv + ["-o", sys.argv[1]]) == code, argv
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+assert main(["ground", "--model", "sjj", "--n", "10", "--coupling", "2", "-o", sys.argv[1]]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_scalar_commands_never_import_numpy(tmp_path):
+    loaded_by_scalar_commands, loaded_after_ground = _last_two_lines(_NO_NUMPY_SCRIPT, tmp_path)
+    assert loaded_by_scalar_commands == "[]"
+    assert loaded_after_ground == "True"
+
+
+@pytest.mark.parametrize("args", [
+    ["meanfield", "--coupling", "4", "--tau-max", "inf"],
+    ["meanfield", "--coupling", "4", "--dtau", "inf"],
+    ["meanfield", "--coupling", "inf", "--z0", "0.5"],
+    ["meanfield", "--coupling", "4", "--theta0", "nan"],
+    ["hartree", "--coupling", "nan"],
+    ["hartree", "--coupling", "inf"],
+    ["physical", "--a-sc", "1.4e-9", "--omega-x", "nan", "--omega-perp", "4398.2",
+     "--kappa-hz", "77", "--n", "300"],
+])
+def test_non_finite_input_is_domain_error(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*args, "-o", str(out)]) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path, capsys):

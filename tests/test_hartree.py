@@ -63,6 +63,12 @@ def test_branch_energies_dominated_by_balanced():
         assert b["S+"].energy >= b["S0"].energy
 
 
+@pytest.mark.parametrize("Lambda", [math.nan, math.inf, -1.0])
+def test_stationary_solutions_reject_bad_coupling(Lambda):
+    with pytest.raises(ValueError, match="Lambda must be finite and >= 0"):
+        stationary_solutions(Lambda)
+
+
 def test_exact_branch_energy_values():
     assert abs(exact_branch_energy(2.0) + 0.9475) <= 1e-12
     assert abs(exact_branch_energy(1.58) + 0.79) <= 1e-12  # equals -Lambda/2 at S = +-1

@@ -52,6 +52,27 @@ def test_state_validation():
         integrate(MeanFieldState(0.1, 0.0), 1.0, -1.0)
 
 
+@pytest.mark.parametrize("Lambda, tau_max, dtau", [
+    (4.0, math.inf, 1e-3),
+    (4.0, math.nan, 1e-3),
+    (4.0, 1.0, math.inf),
+    (4.0, 1.0, math.nan),
+    (math.inf, 1.0, 1e-3),
+    (math.nan, 1.0, 1e-3),
+])
+def test_integrate_rejects_non_finite_input(Lambda, tau_max, dtau):
+    # tau_max = inf used to overflow int(round(...)), dtau = inf to give a
+    # one-row trajectory at tau = nan
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(MeanFieldState(0.6, 0.0), Lambda, tau_max, dtau)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_state_rejects_non_finite_phase(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        MeanFieldState(0.5, theta)
+
+
 def test_integrate_stationary_at_fixed_points():
     traj = integrate(MeanFieldState(math.sqrt(0.5), 0.0), 2.0, 10.0, 1e-3)
     assert np.max(np.abs(traj.z - math.sqrt(0.5))) <= 1e-8

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjj import (
     FockState,
@@ -84,6 +86,16 @@ def test_casimir_identity_everywhere(rng):
         states.extend(FockState(random_state(rng, n_total)) for _ in range(5))
     for s in states:
         assert casimir_defect(s) <= 1e-9 * max(1.0, (s.n_total / 2.0) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_total=st.integers(min_value=1, max_value=60))
+def test_casimir_identity_random_states(seed, n_total):
+    # <J^2> = (N/2)(N/2 + 1) for any normalised state; seen within 5e-16 relative
+    s = FockState(random_state(np.random.default_rng(seed), n_total))
+    j = n_total / 2.0
+    assert casimir_defect(s) <= 1e-13 * j * (j + 1.0)
 
 
 def test_hz_fixed_points():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjj import (
     TrapParams,
@@ -136,6 +138,36 @@ def test_species_table():
     assert abs(m_rb / m_li - 86.909 / 7.016) <= 1e-3
     with pytest.raises(ValueError):
         atomic_mass("na23")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_sc=st.floats(min_value=1e-11, max_value=1e-8),
+    omega_x=st.floats(min_value=1.0, max_value=1e4),
+    omega_perp=st.floats(min_value=1e2, max_value=1e5),
+    tunnel_rate=st.floats(min_value=1e-2, max_value=1e4),
+    n_atoms=st.integers(min_value=1, max_value=100_000),
+    species=st.sampled_from(["li7", "rb87"]),
+    a_perp=st.one_of(st.none(), st.floats(min_value=1e-7, max_value=1e-4)),
+)
+def test_bridge_identity_property(a_sc, omega_x, omega_perp, tunnel_rate, n_atoms, species,
+                                  a_perp):
+    tp = TrapParams(a_sc=-a_sc, omega_x=omega_x, omega_perp=omega_perp,
+                    tunnel_rate=tunnel_rate, n_atoms=n_atoms, mass=atomic_mass(species),
+                    a_perp=a_perp)
+    lhs = coupling_Lambda(tp)
+    rhs = wp_coefficient(tp) * coupling_lambda(tp) ** 2
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("field", ["a_sc", "omega_x", "omega_perp", "tunnel_rate", "mass",
+                                   "a_perp"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_trap_rejects_non_finite_fields(field, value):
+    good = dict(a_sc=-1.4e-9, omega_x=439.8, omega_perp=4398.2, tunnel_rate=483.8,
+                n_atoms=300, mass=atomic_mass("li7"), a_perp=1.4e-6)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrapParams(**{**good, field: value})
 
 
 def test_trap_validation():
