@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("ModelKind", "TwoModeParams", "TridiagonalHamiltonian", "FockState",
               "build_hamiltonian", "apply_hamiltonian"),
-    "eigensolve": ("Spectrum", "eigen_decompose", "eigenvalues", "ground_state", "propagate",
-                   "energy_gap"),
+    "eigensolve": ("Spectrum", "eigen_decompose", "eigenvalues", "ground_state", "ground",
+                   "propagate", "energy_gap"),
     "meanfield": ("MeanFieldState", "Trajectory", "SteadyState", "rhs", "energy_h", "integrate",
                   "steady_states", "overlap_integral", "kappa_eff", "lambda_eff"),
     "hartree": ("HartreeSolution", "stationary_solutions", "exact_branch_energy", "cat_overlap",

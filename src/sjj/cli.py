@@ -218,14 +218,12 @@ def _cmd_spectrum(resolved: dict) -> None:
 def _cmd_ground(resolved: dict) -> None:
     import numpy as np
 
-    from .eigensolve import ground_state
-    from .model import ModelKind, TwoModeParams, build_hamiltonian
+    from .eigensolve import ground
+    from .model import ModelKind
 
-    kind = ModelKind(resolved["model"])
-    params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
-    _, state = ground_state(build_hamiltonian(params))
+    _, state = ground(ModelKind(resolved["model"]), int(resolved["n"]), float(resolved["coupling"]))
     _emit_table("ground", resolved, ["n", "prob", "amp"], [
-        np.arange(params.n_total + 1),
+        np.arange(state.n_total + 1),
         state.probabilities,
         state.amps.real,
     ])
@@ -234,8 +232,8 @@ def _cmd_ground(resolved: dict) -> None:
 def _cmd_hz(resolved: dict) -> None:
     import numpy as np
 
-    from .eigensolve import ground_state
-    from .model import ModelKind, TwoModeParams, build_hamiltonian
+    from .eigensolve import ground
+    from .model import ModelKind
     from .observables import hz_criterion, planar_squeezing, refine_minimum
 
     kind = ModelKind(resolved["model"])
@@ -249,18 +247,15 @@ def _cmd_hz(resolved: dict) -> None:
     def hz1_cached(coupling: float) -> float:
         c = round(coupling, 12)
         if c not in rows:
-            _, state = ground_state(build_hamiltonian(TwoModeParams(kind, n, c)))
+            _, state = ground(kind, n, c)
             sq = planar_squeezing(state)
             rows[c] = (c, hz_criterion(state, 1), hz_criterion(state, n),
                        sq.delta_parallel, sq.j_parallel)
         return rows[c][1]
 
-    if resolved["refine"]:
-        # scans the grid itself, after checking refine_to and the grid
-        refine_minimum(hz1_cached, grid, refine_to=float(resolved["refine_to"]))
-    else:
-        for c in grid:
-            hz1_cached(float(c))
+    # checks refine_to and the grid, then scans it; an infinite floor refines nothing
+    refine_minimum(hz1_cached, grid,
+                   refine_to=float(resolved["refine_to"]) if resolved["refine"] else math.inf)
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
                 list(np.array([rows[c] for c in sorted(rows)]).T))
@@ -294,16 +289,14 @@ _ROW_FLOOR = 1e-100
 def _cmd_losses(resolved: dict) -> None:
     import numpy as np
 
-    from .eigensolve import ground_state
+    from .eigensolve import ground
     from .losses import LossChannel, conditional_state, traced_mixture
-    from .model import ModelKind, TwoModeParams, build_hamiltonian
+    from .model import ModelKind
 
-    kind = ModelKind(resolved["model"])
     la, lb = resolved["la"], resolved["lb"]
     if (la is None) != (lb is None):
         raise _UsageError("--la and --lb must be given together")
-    params = TwoModeParams(kind, int(resolved["n"]), float(resolved["coupling"]))
-    _, state = ground_state(build_hamiltonian(params))
+    _, state = ground(ModelKind(resolved["model"]), int(resolved["n"]), float(resolved["coupling"]))
     ch = LossChannel(eta_a=float(resolved["eta_a"]), eta_b=float(resolved["eta_b"]))
 
     if la is not None:

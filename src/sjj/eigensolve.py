@@ -8,7 +8,7 @@ imported on the first of those calls only.  ``ground_state`` and
 ``energy_gap`` need only the lowest levels and get them in pure Python by
 Sturm-count bisection (Barth, Martin & Wilkinson 1967, Numer. Math. 9, 386;
 the algorithm inside LAPACK ``stebz``), which costs O(N) per step and needs
-no LAPACK.
+no LAPACK.  ``ground`` is ``ground_state`` of the model at (kind, N, coupling).
 
 * Mirror symmetry.  Every built Hamiltonian commutes with the mirror
   n -> N-n and has couplings <= 0.  A centrosymmetric matrix splits exactly
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FockState, TridiagonalHamiltonian, apply_hamiltonian
+from .model import (FockState, ModelKind, TridiagonalHamiltonian, TwoModeParams,
+                    apply_hamiltonian, build_hamiltonian)
 
 __all__ = [
     "Spectrum",
@@ -54,6 +55,7 @@ __all__ = [
     "eigen_decompose",
     "eigenvalues",
     "ground_state",
+    "ground",
     "propagate",
     "energy_gap",
 ]
@@ -335,7 +337,7 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     wherever they do not underflow, and accurate relative to their own size
     in the exponentially small tails.  SJJ at N = 1, whose only coupling is
     0, has a 1 x 1 even block with the vector [1]; other matrices
-    (hand-assembled ones) get the vector of the block from LAPACK.
+    (hand-assembled ones) get column 0 of ``eigen_decompose(h)``.
 
     The built vector is checked by its residual alone: raises
     EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
@@ -354,11 +356,13 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     elif len(block[0]) == 1:  # N = 1: the even block is 1 x 1, its vector [1]
         vec = _unfold(np.ones((1, 1)), dim, 1.0)[:, 0]
     else:
-        _, vectors = _tridiagonal("eigh_tridiagonal", *block, select="i", select_range=(0, 0))
-        if sectors is not None:
-            vectors = _unfold(vectors, dim, 1.0)
-        vec = _fix_signs(vectors)[:, 0]
+        vec = eigen_decompose(h).vectors[:, 0]
     return energy, FockState(vec.astype(complex))
+
+
+def ground(kind: ModelKind, n_total: int, coupling: float) -> tuple[float, FockState]:
+    """Lowest eigenpair of the model Hamiltonian built at (kind, N, coupling)."""
+    return ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
 
 
 def propagate(

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
 if TYPE_CHECKING:
     from .model import FockState
@@ -103,7 +103,7 @@ def exact_branch_energy(Lambda: float) -> float:
             f"imbalanced branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
         )
     s2 = max(0.0, (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT))
-    return -(Lambda / 2.0) * s2 - (1.0 - _OVERLAP_FIT * s2) * (1.0 - s2)
+    return _mean_field_energy(s2, 1.0, Lambda)
 
 
 def cat_overlap(Lambda: float, n_total: int) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
 __all__ = [
     "MeanFieldState",
@@ -101,8 +101,7 @@ def rhs(s: MeanFieldState, Lambda: float) -> tuple[float, float]:
 
 def energy_h(s: MeanFieldState, Lambda: float) -> float:
     """Conserved energy h(z, theta) in units kappa*N (constant terms dropped)."""
-    z, th = s.z, s.theta
-    return -(Lambda / 2.0) * z * z - (1.0 - z * z) * (1.0 - _OVERLAP_FIT * z * z) * math.cos(th)
+    return _mean_field_energy(s.z * s.z, math.cos(s.theta), Lambda)
 
 
 def _rhs_raw(z: float, th: float, Lambda: float) -> tuple[float, float]:
@@ -159,8 +158,7 @@ def integrate(
 
     times = dtau * np.arange(steps + 1)
     zc = np.clip(zs, -1.0, 1.0)  # shield energy evaluation from 1e-9 excursions
-    energies = (-(Lambda / 2.0) * zc**2
-                - (1.0 - zc**2) * (1.0 - _OVERLAP_FIT * zc**2) * np.cos(ths))
+    energies = _mean_field_energy(zc * zc, np.cos(ths), Lambda)
     return Trajectory(times=times, z=zs, theta=ths, energies=energies)
 
 

@@ -28,9 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigensolve import ground_state
+from .eigensolve import ground
 from .logspace import log_factorial, logsumexp
-from .model import FockState, ModelKind, TwoModeParams, build_hamiltonian
+from .model import FockState, ModelKind
 
 __all__ = [
     "SpinExpectations",
@@ -205,13 +205,12 @@ def refine_minimum(
     f: Callable[[float], float],
     grid: np.ndarray,
     refine_to: float = 1e-5,
-    points_per_level: int = 21,
 ) -> tuple[float, float, list[float]]:
     """Locate the minimum of f by iterated local grid refinement.
 
     Scans the given grid, then repeatedly subdivides a one-step bracket
-    around the current argmin until the local step drops below refine_to,
-    which must be >= 0.
+    around the current argmin into 21 points until the local step drops
+    below refine_to, which must be >= 0; refine_to = inf scans the grid only.
     Returns (x_min, f_min, all x evaluated).  The minimum of the witness
     sits in an extremely narrow coupling window for the soliton model, which
     is what the refinement is for.
@@ -234,7 +233,7 @@ def refine_minimum(
     best_x, best_v = float(grid[i]), float(vals[i])
     step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     while step > refine_to:
-        sub = np.linspace(best_x - step, best_x + step, points_per_level)
+        sub = np.linspace(best_x - step, best_x + step, 21)
         sub = sub[sub >= 0.0]
         sv = eval_all(sub)
         j = int(np.argmin(sv))
@@ -249,8 +248,7 @@ def cj_scan(kind: ModelKind, n_total: int, grid: np.ndarray, refine_to: float = 
     refinement of the argmin down to a step of refine_to."""
 
     def f(coupling: float) -> float:
-        _, state = ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
-        return hz_criterion(state, 1)
+        return hz_criterion(ground(kind, n_total, coupling)[1], 1)
 
     best_x, best_v, _ = refine_minimum(f, grid, refine_to=refine_to)
     return CJScanResult(c_j=best_v, argmin=best_x)
@@ -291,8 +289,7 @@ def crossover_coupling(
         raise ValueError(f"criterion must be one of {_CROSSOVER_PREDICATES}, got {criterion!r}")
 
     def predicate(coupling: float) -> bool:
-        params = TwoModeParams(kind, n_total, coupling)
-        _, state = ground_state(build_hamiltonian(params))
+        _, state = ground(kind, n_total, coupling)
         p = state.probabilities
         if criterion == "edge":
             return p[0] > p[n_total // 2]
