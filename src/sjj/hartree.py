@@ -27,6 +27,7 @@ three functions that build Fock states import it when called.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -118,6 +119,8 @@ def cat_overlap(Lambda: float, n_total: int) -> float:
         )
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
+    if n_total > sys.float_info.max:  # N enters the exponent as a float
+        raise ValueError(f"n_total must be at most {sys.float_info.max:g}")
     x2 = _branch_x_squared(Lambda)
     if x2 <= 0.0:
         return 0.0

@@ -46,6 +46,9 @@ __all__ = [
 # the 1.21 and 0.42 of dtheta/dtau, bit for bit
 _ONE_PLUS_FIT = 1.0 + _OVERLAP_FIT
 _TWICE_FIT = 2.0 * _OVERLAP_FIT
+# largest RK4 step count of one trajectory: 200 times the README's 10^5
+# steps, and 160 MB per stored column
+_MAX_STEPS = 20_000_000
 
 
 class MeanFieldIntegrationError(RuntimeError):
@@ -122,8 +125,9 @@ def integrate(
     The step is fixed (no adaptive control) so trajectories are reproducible;
     energy drift stays below 1e-8 for tau_max <= 100 at dtau <= 1e-3.  theta
     is reported unwrapped.  If |z| exceeds 1 by more than 1e-9 the run aborts
-    instead of clamping silently; a non-finite Lambda, tau_max or dtau is
-    rejected.
+    instead of clamping silently; a non-finite Lambda, tau_max or dtau, and
+    more than _MAX_STEPS = 2e7 steps, are rejected before anything is
+    allocated.
     """
     if not math.isfinite(Lambda):
         raise ValueError(f"Lambda must be finite, got {Lambda}")
@@ -131,8 +135,11 @@ def integrate(
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
     if not (math.isfinite(tau_max) and tau_max >= 0):
         raise ValueError(f"tau_max must be finite and >= 0, got {tau_max}")
+    ratio = tau_max / dtau
+    if ratio > _MAX_STEPS:  # also a ratio that overflowed to inf
+        raise ValueError(f"tau_max / dtau must be at most {_MAX_STEPS} steps, got {ratio:g}")
 
-    steps = int(round(tau_max / dtau))
+    steps = int(round(ratio))
     zs = np.empty(steps + 1)
     ths = np.empty(steps + 1)
     z, th = s0.z, s0.theta
@@ -156,10 +163,9 @@ def integrate(
             )
         zs[i], ths[i] = z, th
 
-    times = dtau * np.arange(steps + 1)
     zc = np.clip(zs, -1.0, 1.0)  # shield energy evaluation from 1e-9 excursions
     energies = _mean_field_energy(zc * zc, np.cos(ths), Lambda)
-    return Trajectory(times=times, z=zs, theta=ths, energies=energies)
+    return Trajectory(times=dtau * np.arange(steps + 1), z=zs, theta=ths, energies=energies)
 
 
 def steady_states(Lambda: float) -> list[SteadyState]:

@@ -22,6 +22,7 @@ unit = 1.66054e-27 kg, m(7Li) = 7.01600 u, m(87Rb) = 86.9092 u.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -69,7 +70,7 @@ class TrapParams:
     mass: particle mass in kg (see :func:`atomic_mass`).
     a_perp: optional explicit transverse length in meters; when omitted it
     is derived as sqrt(hbar/(mass omega_perp)).
-    Every field given must be finite.
+    Every field given must be finite, and n_atoms at most the largest float.
     """
 
     a_sc: float
@@ -93,6 +94,8 @@ class TrapParams:
             raise ValueError(f"tunnel_rate must be >= 0, got {self.tunnel_rate}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if self.n_atoms > sys.float_info.max:  # the conversions take N as a float
+            raise ValueError(f"n_atoms must be at most {sys.float_info.max:g}")
         if self.mass <= 0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.a_perp is not None and self.a_perp <= 0:

@@ -684,3 +684,33 @@ def test_branch_probability_documented_where_written(tmp_path):
     assert 0.0 < obj["config"]["branch_probability"] < 1.0
     assert "branch_probability" in SCHEMA["properties"]["config"]["properties"]
     assert "branch_probability" not in SCHEMA["properties"]
+
+
+def test_hz_no_refine_scans_grid_only(tmp_path):
+    # --no-refine is an infinite step floor, so a floor that refinement
+    # would reject is never read
+    rc, f = run(tmp_path, "hz.csv", ["hz", "--model", "sjj", "--n", "20", "--grid",
+                                     "1.9:2.1:0.05", "--no-refine", "--refine-to", "-1"])
+    assert rc == 0
+    _, data = read_csv(f)
+    assert np.array_equal(data[:, 0], _parse_grid("1.9:2.1:0.05"))
+
+
+_HUGE_N = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args, message", [
+    (["meanfield", "--coupling", "4", "--tau-max", "1e10"], "at most 20000000 steps"),
+    (["meanfield", "--coupling", "4", "--tau-max", "1e300", "--dtau", "1e-10"],
+     "at most 20000000 steps"),
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
+      "--kappa-hz", "77", "--n", _HUGE_N], "n_atoms must be at most"),
+    (["hartree", "--coupling", "2", "--n", _HUGE_N], "n_total must be at most"),
+])
+def test_oversized_input_is_domain_error(args, message, tmp_path, capsys):
+    # each used to end in a traceback: numpy's MemoryError for 10^13 steps,
+    # OverflowError for the ratio or the integer N
+    out = tmp_path / "out"
+    assert main([*args, "-o", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()

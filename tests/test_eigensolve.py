@@ -16,6 +16,7 @@ from sjj import (
     eigen_decompose,
     eigenvalues,
     energy_gap,
+    ground,
     ground_state,
     propagate,
 )
@@ -456,3 +457,16 @@ def test_ground_state_unit_even_positive(kind, n_total, coupling):
     zero = np.flatnonzero(amps == 0.0)
     beside = np.concatenate((zero - 1, zero + 1))
     assert np.all(amps[beside[(beside >= 0) & (beside <= n_total)]] < 1e-290)
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("n_total", [1, 2, 3, 4, 300, 301])
+def test_ground_is_ground_state_of_built_chain(kind, n_total):
+    # the one entry point is the composition, bit for bit
+    for coupling in (0.0, 0.5, 2.0009925, 4.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
+            energy, state = ground(kind, n_total, coupling)
+            ref_energy, ref = ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
+        assert energy == ref_energy
+        assert np.array_equal(state.amps, ref.amps)

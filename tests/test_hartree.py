@@ -15,6 +15,7 @@ from sjj import (
     noon_state,
     stationary_solutions,
 )
+from sjj.overlap_fit import _mean_field_energy
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -157,3 +158,16 @@ def test_hartree_limit_of_quantum_energy(n_total):
     h = build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 2.0))
     energy = float(np.real(np.vdot(s.amps, apply_hamiltonian(h, s))))
     assert abs(energy - (-1.0)) <= 5.0 / n_total
+
+
+def test_exact_branch_energy_is_mean_field_energy():
+    for Lambda in np.linspace(1.58, 2.42, 43):
+        Lambda = float(Lambda)
+        s2 = (2.42 - Lambda) / 0.84
+        assert exact_branch_energy(Lambda) == _mean_field_energy(s2, 1.0, Lambda)
+
+
+def test_cat_overlap_rejects_n_beyond_float():
+    # 10**400 used to end in OverflowError when N met a float
+    with pytest.raises(ValueError, match="n_total must be at most"):
+        cat_overlap(2.0, 10**400)

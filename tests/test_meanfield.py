@@ -14,6 +14,7 @@ from sjj import (
     rhs,
     steady_states,
 )
+from sjj import meanfield
 from sjj.meanfield import MeanFieldIntegrationError, wrap_phase
 from oracles import reference_flow
 
@@ -194,3 +195,25 @@ def test_wrap_phase():
     assert wrap_phase(math.pi) == math.pi
     assert wrap_phase(-math.pi) == math.pi
     assert abs(wrap_phase(2 * math.pi)) <= 1e-15
+
+
+def test_trajectory_energies_are_energy_h():
+    # one formula: the stored energies are energy_h of the stored states, bit for bit
+    Lambda = 4.0
+    traj = integrate(MeanFieldState(0.6, 0.3), Lambda, 5.0, dtau=1e-2)
+    assert [float(e) for e in traj.energies] == [
+        energy_h(traj.state(i), Lambda) for i in range(len(traj))
+    ]
+
+
+def test_integrate_bounds_step_count(monkeypatch):
+    monkeypatch.setattr(meanfield, "_MAX_STEPS", 10)
+    assert len(integrate(MeanFieldState(0.6, 0.0), 4.0, 10.0, dtau=1.0)) == 11
+    with pytest.raises(ValueError, match="at most 10 steps"):
+        integrate(MeanFieldState(0.6, 0.0), 4.0, 11.0, dtau=1.0)
+    monkeypatch.undo()
+    # rejected before the 10^13-float arrays are asked for; an overflowing
+    # ratio too
+    for tau_max, dtau in ((1e10, 1e-3), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match=f"at most {meanfield._MAX_STEPS} steps"):
+            integrate(MeanFieldState(0.6, 0.0), 4.0, tau_max, dtau)

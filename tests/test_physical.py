@@ -188,3 +188,12 @@ def test_dimensionless_outputs(rng):
     for value in (nonlinearity_u(tp), coupling_lambda(tp), coupling_Lambda(tp),
                   wp_coefficient(tp), tp.nu, tp.kappa):
         assert np.isfinite(value) and value >= 0.0
+
+
+def test_trap_rejects_n_atoms_beyond_float():
+    # 10**400 used to end in OverflowError in the conversions
+    good = dict(a_sc=-1.4e-9, omega_x=439.8, omega_perp=4398.2, tunnel_rate=483.8,
+                mass=atomic_mass("li7"), a_perp=1.4e-6)
+    with pytest.raises(ValueError, match="n_atoms must be at most"):
+        TrapParams(**good, n_atoms=10**400)
+    assert TrapParams(**good, n_atoms=10**300).n_atoms == 10**300
