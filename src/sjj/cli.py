@@ -21,8 +21,9 @@ floats are printed with 12 significant digits so identical configurations
 produce byte-identical files.  A JSON config file (--config) supplies
 defaults for any flag (keys are flag names with '-' replaced by '_');
 explicit flags win over the config file, which wins over built-ins.  A
-config value gets the checks of its flag (type, choices), so a bad one is a
-usage error naming the key and the file.  Every flag is declared once, in
+config value gets the checks of its flag (type, choices; an integer for a
+number flag must convert to a float), so a bad one is a usage error naming
+the key and the file.  Every flag is declared once, in
 _SPEC.  A --grid may have at most 100,000 points (_MAX_GRID_POINTS); a
 larger one is a usage error.  Sweeps evaluate their grid points in order on
 one thread; --threads (and config 'threads') is still accepted and must be a
@@ -42,7 +43,9 @@ The module imports the standard library only; each command imports the
 sjj modules it calls, and numpy with them, when it runs.  So --version,
 hartree and physical start without numpy (hartree reads its window from
 sjj.overlap_fit), and only spectrum loads scipy.  A non-finite input that
-the library rejects is a domain error like any other.
+the library rejects is a domain error like any other.  JSON output (RFC
+8259) never holds NaN or Infinity: a non-finite value to be written, also
+one echoed from the configuration, is a domain error naming its key.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
 4 numerical failure.
@@ -131,9 +134,31 @@ def _echoable(resolved: dict) -> dict:
     return {k: v for k, v in resolved.items() if k not in ("output", "threads")}
 
 
+def _non_finite_key(obj, key: str = "") -> str | None:
+    """Dotted key of the first NaN or infinity in a JSON document, in sorted
+    key order, or None."""
+    if isinstance(obj, dict):
+        children = [(f"{key}.{k}" if key else k, v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        children = [(key, v) for v in obj]
+    else:
+        return key if isinstance(obj, float) and not math.isfinite(obj) else None
+    return next(filter(None, (_non_finite_key(v, k) for k, v in children)), None)
+
+
+def _json(obj, keyed=None) -> str:
+    """JSON text of `obj`.  JSON (RFC 8259) has no NaN or Infinity, so a
+    non-finite float is a ValueError naming its key in `keyed` (default
+    `obj`), the only ValueError json.dumps raises for these documents."""
+    try:
+        return json.dumps(obj, sort_keys=True, default=str, allow_nan=False)
+    except ValueError:
+        key = _non_finite_key(obj if keyed is None else keyed)
+        raise ValueError(f"{key} must be finite: JSON holds no NaN or Infinity") from None
+
+
 def _comment(command: str, resolved: dict) -> str:
-    payload = json.dumps({"command": command, **_echoable(resolved)}, sort_keys=True, default=str)
-    return f"# sjj {__version__} {payload}"
+    return f"# sjj {__version__} {_json({'command': command, **_echoable(resolved)})}"
 
 
 # rows formatted at a time: a 5-column chunk's .tolist() lists and text take
@@ -179,20 +204,20 @@ def _emit_table(command: str, resolved: dict, names: list[str],
     else:
         whole = _document(command, resolved, {"columns": names, "rows": []})
         # only the key renders as '"rows": []': a quote inside a string is escaped
-        head, _, tail = json.dumps(whole, sort_keys=True, default=str).partition('"rows": []')
+        head, _, tail = _json(whole).partition('"rows": []')
         head, sep, tail = head + '"rows": [', ", ", "]" + tail + "\n"
 
         def render(chunk: list[list]) -> str:
             chunk = [[float("%.12g" % v) for v in col] if f else col
                      for col, f in zip(chunk, floats)]
-            return json.dumps(list(zip(*chunk)))[1:-1]
+            return _json(list(zip(*chunk)), dict(zip(names, chunk)))[1:-1]
 
     _write_text(resolved["output"], itertools.chain([head], _chunks(columns, render, sep), [tail]))
 
 
 def _emit_object(command: str, resolved: dict, payload: dict) -> None:
     obj = _document(command, resolved, payload)
-    _write_text(resolved["output"], [json.dumps(obj, sort_keys=True, default=str) + "\n"])
+    _write_text(resolved["output"], [_json(obj) + "\n"])
 
 
 # ---------------------------------------------------------------- commands
@@ -501,6 +526,11 @@ def _accepts(flag: _Flag, value) -> bool:
             return False
     if not isinstance(value, (int, float) if flag.type is float else flag.type):
         return False
+    if flag.type is float and isinstance(value, int):
+        try:
+            float(value)  # an integer beyond the float range is no number
+        except OverflowError:
+            return False
     return (flag.choices is None or value in flag.choices) and not (flag.positive and value < 1)
 
 

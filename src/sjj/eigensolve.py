@@ -26,11 +26,11 @@ no LAPACK.  ``ground`` is ``ground_state`` of the model at (kind, N, coupling).
 * Sign convention.  The first component of each eigenvector with magnitude
   above 1e-12 is made positive, so repeated runs are bit-comparable.
 
-The ground vector of a mirror-symmetric chain with negative couplings (every
-built Hamiltonian with N >= 2) is built from its three-term recurrence, run
-in the stable direction on each side of a twist row: from the edge n = 0 up
-to the twist, and from the centre, closed by the mirror condition, down to
-it (a twisted factorisation; Fernando 1997, Dhillon & Parlett 2004).  The
+The ground vector of a mirror-symmetric chain whose even block has negative
+couplings (every built Hamiltonian) is built from its three-term recurrence,
+run in the stable direction on each side of a twist row: from the edge n = 0
+up to the twist, and from the centre, closed by the mirror condition, down
+to it (a twisted factorisation; Fernando 1997, Dhillon & Parlett 2004).  The
 twist is the row where the twisted factorisations of the even block just
 below E0 have their smallest |gamma_k|, which is where the vector is
 largest.  The ratios are accumulated as logarithms, so every amplitude is
@@ -330,14 +330,14 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
 
     The energy is the lowest level of the even block of a chain that
     ``_sectors`` splits (every built Hamiltonian), or of the whole chain
-    otherwise, by Sturm-count bisection.  With all couplings < 0 (every
-    built Hamiltonian with N >= 2) the vector is then built from the
-    recurrence, twisted where the twisted factorisations of the even block
-    put its largest component, so the amplitudes are real, strictly positive
-    wherever they do not underflow, and accurate relative to their own size
-    in the exponentially small tails.  SJJ at N = 1, whose only coupling is
-    0, has a 1 x 1 even block with the vector [1]; other matrices
-    (hand-assembled ones) get column 0 of ``eigen_decompose(h)``.
+    otherwise, by Sturm-count bisection.  With all couplings of the even
+    block < 0 (every built Hamiltonian; at N = 1 the block is 1 x 1 and has
+    none) the vector is then built from the recurrence, twisted where the
+    twisted factorisations of the even block put its largest component, so
+    the amplitudes are real, strictly positive wherever they do not
+    underflow, and accurate relative to their own size in the exponentially
+    small tails.  Other matrices (hand-assembled ones) get column 0 of
+    ``eigen_decompose(h)``.
 
     The built vector is checked by its residual alone: raises
     EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
@@ -347,14 +347,12 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     block = (h.diag, h.offdiag) if sectors is None else sectors[0]
     energy = _sturm_eigenvalue(*block, 0)
     dim = len(h.diag)
-    if sectors is not None and np.all(h.offdiag < 0.0):
+    if sectors is not None and np.all(block[1] < 0.0):
         peak = _twist_index(*block, energy, 0.5 if dim % 2 else 1.0)
         vec = _even_ground_vector(h.diag, h.offdiag, energy, peak)
         residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
         if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
             raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
-    elif len(block[0]) == 1:  # N = 1: the even block is 1 x 1, its vector [1]
-        vec = _unfold(np.ones((1, 1)), dim, 1.0)[:, 0]
     else:
         vec = eigen_decompose(h).vectors[:, 0]
     return energy, FockState(vec.astype(complex))

@@ -78,8 +78,7 @@ def stationary_solutions(Lambda: float) -> list[HartreeSolution]:
     r = 1.0 / math.sqrt(2.0)
     out = [HartreeSolution(s=0.0, alpha=r, beta=r, theta=0.0, energy=-1.0, branch="S0")]
     if _LAMBDA_LO <= Lambda < _LAMBDA_HI:
-        x2 = max(0.0, _branch_x_squared(Lambda))
-        s = math.sqrt(max(0.0, 1.0 - x2))
+        s = math.sqrt(1.0 - _branch_x_squared(Lambda))
         hi = math.sqrt(0.5 * (1.0 + s))
         lo = math.sqrt(0.5 * (1.0 - s))
         e = 0.30 * Lambda**2 - 1.44 * Lambda + 0.74
@@ -103,7 +102,7 @@ def exact_branch_energy(Lambda: float) -> float:
         raise ValueError(
             f"imbalanced branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
         )
-    s2 = max(0.0, (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT))
+    s2 = (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT)
     return _mean_field_energy(s2, 1.0, Lambda)
 
 
@@ -124,7 +123,7 @@ def cat_overlap(Lambda: float, n_total: int) -> float:
     x2 = _branch_x_squared(Lambda)
     if x2 <= 0.0:
         return 0.0
-    return min(1.0, math.exp(0.5 * n_total * math.log(x2)))
+    return math.exp(0.5 * n_total * math.log(x2))
 
 
 def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockState:

@@ -19,8 +19,8 @@ One log-space kernel serves every form: the traced row
 |A_n|^2 B^n_{l_a,l_b} of the output mixture, the branch probability (the
 sum of a branch's rows over n) and the conditional state (one branch's
 rows, normalized).  The binomial weights are tabulated once per state as
-two (N+1) x (N+1) arrays, and the (l_a, l_b, n) row tensor is scanned a
-chunk of l_a at a time.
+two (N+1) x (N+1) arrays, and the (l_a, l_b, n) row tensor is scanned
+one l_a at a time.
 
 Mean-field losses: one-body decay N(t) = N(0) exp(-gamma_1 t) and
 three-body recombination N(t) = N(0)/sqrt(1 + 2 L_3 rho^2 t) with effective
@@ -131,7 +131,16 @@ class _Kernel:
     mirror: bool  # eta_a = eta_b and |A_n| = |A_{N-n}|: P[l_a, l_b] = P[l_b, l_a]
 
 
+# largest (N+1)^2 of the kernel's tables: 128 MiB each, N <= 4095; the
+# README's N = 300 needs 0.7 MB, and the scan time grows as N^3
+_MAX_TABLE = 1 << 24
+
+
 def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
+    if (s.n_total + 1) ** 2 > _MAX_TABLE:
+        raise ValueError(
+            f"n_total must be at most {math.isqrt(_MAX_TABLE) - 1} for the loss tables, got {s.n_total}"
+        )
     n = np.arange(s.n_total + 1)
     with np.errstate(divide="ignore"):
         log_p = np.log(s.probabilities)
@@ -144,38 +153,26 @@ def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
     )
 
 
-# elements of one l_a chunk of the row tensor (2 MB); at N = 300 the whole
-# (l_a, l_b, n) tensor would take 218 MB.  An 8 MB chunk and its temporaries
-# set the peak RSS of the traced `losses` command (49 MB against 37 MB at
-# this size), and the smaller chunk costs no time (~0.15 s either way)
-_CHUNK = 1 << 18
-
-
 def _scan(k: _Kernel, row_min: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Branch probabilities P[l_a, l_b] = sum_n row(l_a, l_b, n), and the
     (l_a, l_b, n, row) columns of the rows with row >= row_min and row > 0,
-    in (l_a, l_b, n) order.  The row tensor is built a chunk of l_a at a
-    time, each chunk cut to l_b <= N - l_a and n <= N - l_a for its first
-    l_a, past which every row of the chunk is 0; neither the rows nor the
-    probabilities depend on the chunk size."""
+    in (l_a, l_b, n) order.  The row tensor is built one l_a at a time, its
+    (l_b, n) slab cut to l_b <= N - l_a and n <= N - l_a, past which every
+    row is 0."""
     size = len(k.log_p)
     prob = np.zeros((size, size))
     found = []
-    step = max(1, _CHUNK // size**2)
-    for a0 in range(0, size, step):
-        m = size - a0
-        rows = k.log_ta[a0 : a0 + step, None, :m] + k.log_tb[None, :m, :m]
-        rows += k.log_p[:m]
-        np.exp(rows, out=rows)
-        # each l_a sums over n <= N - l_a whatever the chunk, so the chunk
-        # size moves no branch probability, not even by rounding
-        branch = np.stack([slab[:, : m - i].sum(axis=-1) for i, slab in enumerate(rows)])
-        prob[a0 : a0 + step, :m] = branch
+    for l_a in range(size):
+        m = size - l_a
+        slab = k.log_ta[l_a, :m] + k.log_tb[:m, :m]
+        slab += k.log_p[:m]
+        np.exp(slab, out=slab)
+        prob[l_a, :m] = slab.sum(axis=-1)
         # only a branch whose sum reaches row_min can hold such a row
-        la, lb = np.nonzero(branch >= row_min)
-        sub = rows[la, lb]
+        lb = np.flatnonzero(prob[l_a, :m] >= row_min)
+        sub = slab[lb]
         j, n = np.nonzero((sub >= row_min) & (sub > 0.0))
-        found.append((la[j] + a0, lb[j], n, sub[j, n]))
+        found.append((np.full(len(j), l_a), lb[j], n, sub[j, n]))
     if k.mirror:
         # make the tie exact, so (l_a, l_b) and not rounding orders each mirror pair
         prob = 0.5 * (prob + prob.T)

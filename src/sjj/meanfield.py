@@ -180,7 +180,7 @@ def steady_states(Lambda: float) -> list[SteadyState]:
         raise ValueError(f"Lambda must be >= 0, got {Lambda}")
     out = [SteadyState(z=0.0, theta=0.0, branch="symmetric")]
     if _LAMBDA_LO < Lambda <= _LAMBDA_HI:
-        z = math.sqrt(max(0.0, (_ONE_PLUS_FIT - Lambda / 2.0) / _TWICE_FIT))
+        z = math.sqrt((_ONE_PLUS_FIT - Lambda / 2.0) / _TWICE_FIT)
         out.append(SteadyState(z=+z, theta=0.0, branch="self-trapped+"))
         out.append(SteadyState(z=-z, theta=0.0, branch="self-trapped-"))
     if 0.0 < Lambda <= _LAMBDA_LO:

@@ -25,6 +25,7 @@ evaluates the lower half and reflects it so the symmetry holds bit-exactly.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ __all__ = [
 ]
 
 
+# largest particle number of a model: about 330 times the README's largest N
+# (3000); an SJJ ground solve there takes ~3 s and ~180 MB
+_MAX_N = 1_000_000
+
+
 class ModelKind(enum.Enum):
     """Junction type: soliton (SJJ) or conventional bosonic (BJJ)."""
 
@@ -53,9 +59,10 @@ class ModelKind(enum.Enum):
 class TwoModeParams:
     """Model parameters: kind, particle number N, dimensionless coupling.
 
-    ``coupling`` is Lambda for the SJJ model and lambda for the BJJ model.
-    An SJJ with coupling 0 is accepted but triggers a warning: bright
-    solitons do not exist without nonlinearity, so that limit is formal.
+    ``coupling`` is Lambda for the SJJ model and lambda for the BJJ model;
+    it must be finite and >= 0, and N must lie in [1, _MAX_N].  An SJJ with
+    coupling 0 is accepted but triggers a warning: bright solitons do not
+    exist without nonlinearity, so that limit is formal.
     """
 
     kind: ModelKind
@@ -65,6 +72,10 @@ class TwoModeParams:
     def __post_init__(self):
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
+        if self.n_total > _MAX_N:
+            raise ValueError(f"n_total must be at most {_MAX_N}, got {self.n_total}")
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
         if self.kind is ModelKind.SJJ and self.coupling == 0:

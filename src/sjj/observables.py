@@ -152,7 +152,7 @@ def hz_criterion(s: FockState, m: int) -> float:
     log_rise = log_factorial(n + m) - log_factorial(n)  # b^m b+^m on |n>
 
     with np.errstate(divide="ignore"):
-        log_p = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), -np.inf)
+        log_p = np.log(probs)
 
     log_pop = logsumexp(log_p + lff_a + lff_b)
 

@@ -420,6 +420,10 @@ def test_scalar_commands_never_import_numpy(tmp_path):
     ["hartree", "--coupling", "inf"],
     ["physical", "--a-sc", "1.4e-9", "--omega-x", "nan", "--omega-perp", "4398.2",
      "--kappa-hz", "77", "--n", "300"],
+    ["ground", "--model", "sjj", "--n", "10", "--coupling", "inf"],
+    ["ground", "--model", "bjj", "--n", "10", "--coupling", "nan"],
+    ["losses", "--model", "sjj", "--n", "10", "--coupling", "inf"],
+    ["losses", "--model", "sjj", "--n", "10", "--coupling", "nan"],
 ])
 def test_non_finite_input_is_domain_error(args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -481,6 +485,7 @@ BAD_CONFIG = {
     "species_choice": (PHYSICAL, {"species": "na23"}, "species"),
     "la_fraction": (["losses", "--model", "sjj", "--n", "10", "--coupling", "4"],
                     {"la": 0.5, "lb": 0}, "la"),
+    "coupling_int_beyond_float": (["meanfield"], {"coupling": 10**400}, "coupling"),
 }
 
 
@@ -706,6 +711,8 @@ _HUGE_N = "1" + "0" * 400
     (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
       "--kappa-hz", "77", "--n", _HUGE_N], "n_atoms must be at most"),
     (["hartree", "--coupling", "2", "--n", _HUGE_N], "n_total must be at most"),
+    (["ground", "--model", "sjj", "--n", "100000000000", "--coupling", "2"],
+     "n_total must be at most 1000000"),
 ])
 def test_oversized_input_is_domain_error(args, message, tmp_path, capsys):
     # each used to end in a traceback: numpy's MemoryError for 10^13 steps,
@@ -714,3 +721,28 @@ def test_oversized_input_is_domain_error(args, message, tmp_path, capsys):
     assert main([*args, "-o", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
+      "--kappa-hz", "77", "--n", "1" + "0" * 160], "Lambda"),
+    (["hz", "--model", "sjj", "--n", "4", "--grid", "0.5:1:0.5", "--refine-to", "inf"],
+     "refine_to"),
+    (["hz", "--model", "sjj", "--n", "4", "--grid", "0.5:1:0.5", "--refine-to", "inf",
+      "--format", "json"], "config.refine_to"),
+    (["crossover", "--model", "sjj", "--n", "10", "--tol", "inf"], "config.tol"),
+])
+def test_non_finite_output_is_domain_error(args, key, tmp_path, capsys):
+    # JSON (RFC 8259) has no NaN or Infinity: these used to exit 0 and write
+    # one, in the document or in the CSV comment line
+    out = tmp_path / "out"
+    assert main([*args, "-o", str(out)]) == 3
+    assert f"sjj {args[0]}: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_table_value_names_its_column():
+    with pytest.raises(ValueError, match="^hz1 must be finite"):
+        cli._json([(1.0, math.inf)], {"coupling": [1.0], "hz1": [math.inf]})
+    assert cli._non_finite_key({"a": [1.0, {"b": (2, math.nan)}]}) == "a.b"
+    assert cli._non_finite_key({"a": [1.0, 2]}) is None

@@ -234,6 +234,25 @@ def test_ground_state_n1(kind):
     assert abs(energy - (h.diag[0] - abs(h.offdiag[0]))) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("coupling", [0.0, 1.3, 4.0])
+def test_ground_state_n1_through_recurrence(kind, coupling, monkeypatch):
+    # the even block of N = 1 is 1 x 1 and has no coupling to divide by, so
+    # the general recurrence serves it (the SJJ coupling is -0.0)
+    def whole_chain(h):
+        raise AssertionError("N = 1 reached the whole-chain fallback")
+
+    monkeypatch.setattr(eigensolve, "eigen_decompose", whole_chain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
+        h = build_hamiltonian(TwoModeParams(kind, 1, coupling))
+    energy, state = ground_state(h)
+    assert np.array_equal(state.amps, np.full(2, 1.0 / math.sqrt(2.0), dtype=complex))
+    (even_diag, even_off), _ = eigensolve._sectors(h)
+    assert even_off.size == 0
+    assert energy == even_diag[0]
+
+
 def test_propagate_zero_time(rng):
     h = build_hamiltonian(TwoModeParams(BJJ, 12, 1.0))
     amps = rng.normal(size=13) + 1j * rng.normal(size=13)

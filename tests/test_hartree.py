@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjj import (
     ModelKind,
@@ -14,8 +16,9 @@ from sjj import (
     exact_branch_energy,
     noon_state,
     stationary_solutions,
+    steady_states,
 )
-from sjj.overlap_fit import _mean_field_energy
+from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -171,3 +174,43 @@ def test_cat_overlap_rejects_n_beyond_float():
     # 10**400 used to end in OverflowError when N met a float
     with pytest.raises(ValueError, match="n_total must be at most"):
         cat_overlap(2.0, 10**400)
+
+
+def _check_window(Lambda, n_total):
+    # in floating point Lambda - 1.58 lies in [0, 2.42 - 1.58] on the window
+    # and Lambda/2 <= 1.21 exactly, so the window formulas need no clamp:
+    # each is finite, >= 0 and equal to its clamped form
+    x2 = (Lambda - _LAMBDA_LO) / (_LAMBDA_HI - _LAMBDA_LO)
+    assert 0.0 <= x2 <= 1.0
+    s2 = (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT)
+    assert 0.0 <= s2 < math.inf
+    energy = exact_branch_energy(Lambda)
+    assert math.isfinite(energy)
+    assert energy == _mean_field_energy(max(0.0, s2), 1.0, Lambda)
+    eps = cat_overlap(Lambda, n_total)
+    assert 0.0 <= eps <= 1.0
+    assert eps == (0.0 if x2 <= 0.0 else min(1.0, math.exp(0.5 * n_total * math.log(x2))))
+    if Lambda < _LAMBDA_HI:
+        s = branches(Lambda)["S+"].s
+        assert math.isfinite(s) and s == math.sqrt(max(0.0, 1.0 - max(0.0, x2)))
+    if Lambda > _LAMBDA_LO:
+        z2 = (1.0 + _OVERLAP_FIT - Lambda / 2.0) / (2.0 * _OVERLAP_FIT)
+        assert z2 >= 0.0
+        z = {s.branch: s for s in steady_states(Lambda)}["self-trapped+"].z
+        assert math.isfinite(z) and z == math.sqrt(max(0.0, z2))
+
+
+@pytest.mark.parametrize("n_total", [1, 300, 10**300])
+@pytest.mark.parametrize("Lambda", [
+    _LAMBDA_LO, math.nextafter(_LAMBDA_LO, math.inf),
+    math.nextafter(_LAMBDA_HI, 0.0), _LAMBDA_HI,
+])
+def test_window_edges_need_no_clamp(Lambda, n_total):
+    _check_window(Lambda, n_total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(Lambda=st.floats(min_value=_LAMBDA_LO, max_value=_LAMBDA_HI),
+       n_total=st.integers(min_value=1, max_value=10**300))
+def test_window_formulas_need_no_clamp(Lambda, n_total):
+    _check_window(Lambda, n_total)

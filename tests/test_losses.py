@@ -261,19 +261,34 @@ def test_loss_completeness_random_states(seed, n_total, eta_a, eta_b):
 
 
 @pytest.mark.parametrize("n_total", [15, 150])
-@pytest.mark.parametrize("step", [1, 3, 7])
-def test_row_chunk_size_changes_nothing(n_total, step, rng, monkeypatch):
-    # chunking the row tensor along l_a changes no row and no branch sum,
-    # not even by rounding
-    s = FockState(random_state(rng, n_total))
+@pytest.mark.parametrize("eta", [(0.8, 0.9), (0.999, 0.999)], ids=["asym", "sym"])
+def test_scan_equals_whole_row_tensor(n_total, eta, rng):
+    # scanning one l_a at a time changes no row and no branch sum against
+    # the whole (l_a, l_b, n) tensor evaluated at once, not even by rounding
+    k = losses._kernel(FockState(random_state(rng, n_total)), LossChannel(*eta))
+    size = n_total + 1
+    tensor = np.exp(k.log_ta[:, None, :] + k.log_tb[None, :, :] + k.log_p)
+    # branch l_a sums its n <= N - l_a; every row past that is 0
+    prob = np.stack([tensor[la, :, : size - la].sum(axis=-1) for la in range(size)])
+    if k.mirror:
+        prob = 0.5 * (prob + prob.T)
+    for row_min in (0.0, 1e-6):
+        got_prob, got_rows = losses._scan(k, row_min)
+        assert np.array_equal(got_prob, prob)
+        kept = np.nonzero((tensor >= row_min) & (tensor > 0.0))
+        want = (*kept, tensor[kept])
+        assert all(np.array_equal(a, b) for a, b in zip(got_rows, want, strict=True))
+
+
+def test_loss_tables_bounded_before_allocation(rng, monkeypatch):
+    monkeypatch.setattr(losses, "_MAX_TABLE", 16**2)
     ch = LossChannel(0.8, 0.9)
-    monkeypatch.setattr(losses, "_CHUNK", (n_total + 1) ** 3)  # one chunk
-    whole = traced_mixture(s, ch)
-    branches = [(b.l_a, b.l_b, b.probability) for b in loss_mixture(s, ch)]
-    monkeypatch.setattr(losses, "_CHUNK", step * (n_total + 1) ** 2)
-    rows = traced_mixture(s, ch)
-    assert all(np.array_equal(a, b) for a, b in zip(rows, whole))
-    assert [(b.l_a, b.l_b, b.probability) for b in loss_mixture(s, ch)] == branches
+    assert loss_mixture(FockState(random_state(rng, 15)), ch)
+    big = FockState(random_state(rng, 16))
+    for call in (lambda: loss_mixture(big, ch), lambda: traced_mixture(big, ch),
+                 lambda: conditional_state(big, 0, 0, ch)):
+        with pytest.raises(ValueError, match="n_total must be at most 15 for the loss tables"):
+            call()
 
 
 def test_traced_rows_order_and_floor(rng):

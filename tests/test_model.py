@@ -11,6 +11,7 @@ from sjj import (
     apply_hamiltonian,
     build_hamiltonian,
 )
+from sjj import model
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
 
@@ -23,6 +24,12 @@ def test_params_validation():
         TwoModeParams(SJJ, 0, 1.0)
     with pytest.raises(ValueError):
         TwoModeParams(BJJ, 10, -0.5)
+    for coupling in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            TwoModeParams(BJJ, 10, coupling)
+    TwoModeParams(BJJ, model._MAX_N, 1.0)
+    with pytest.raises(ValueError, match=f"n_total must be at most {model._MAX_N}"):
+        TwoModeParams(SJJ, model._MAX_N + 1, 1.0)
     with pytest.warns(UserWarning) as record:
         TwoModeParams(SJJ, 10, 0.0)
     assert all(w.filename == __file__ for w in record)
