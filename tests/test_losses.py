@@ -260,14 +260,13 @@ def test_loss_completeness_random_states(seed, n_total, eta_a, eta_b):
     assert abs(math.fsum(traced_mixture(s, ch).prob.tolist()) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("n_total", [15, 150])
-@pytest.mark.parametrize("eta", [(0.8, 0.9), (0.999, 0.999)], ids=["asym", "sym"])
-def test_scan_equals_whole_row_tensor(n_total, eta, rng):
-    # scanning one l_a at a time changes no row and no branch sum against
-    # the whole (l_a, l_b, n) tensor evaluated at once, not even by rounding
-    k = losses._kernel(FockState(random_state(rng, n_total)), LossChannel(*eta))
-    size = n_total + 1
-    tensor = np.exp(k.log_ta[:, None, :] + k.log_tb[None, :, :] + k.log_p)
+def assert_scan_equals_row_tensor(k, step):
+    """`_scan` against the (l_a, l_b, n) tensor evaluated `step` l_a at a time."""
+    size = len(k.log_p)
+    tensor = np.concatenate([
+        np.exp(k.log_ta[lo:lo + step, None, :] + k.log_tb[None, :, :] + k.log_p)
+        for lo in range(0, size, step)
+    ])
     # branch l_a sums its n <= N - l_a; every row past that is 0
     prob = np.stack([tensor[la, :, : size - la].sum(axis=-1) for la in range(size)])
     if k.mirror:
@@ -278,6 +277,24 @@ def test_scan_equals_whole_row_tensor(n_total, eta, rng):
         kept = np.nonzero((tensor >= row_min) & (tensor > 0.0))
         want = (*kept, tensor[kept])
         assert all(np.array_equal(a, b) for a, b in zip(got_rows, want, strict=True))
+
+
+@pytest.mark.parametrize("n_total", [15, 150])
+@pytest.mark.parametrize("eta", [(0.8, 0.9), (0.999, 0.999)], ids=["asym", "sym"])
+def test_scan_equals_whole_row_tensor(n_total, eta, rng):
+    # scanning one l_a at a time changes no row and no branch sum against
+    # the whole (l_a, l_b, n) tensor evaluated at once, not even by rounding
+    k = losses._kernel(FockState(random_state(rng, n_total)), LossChannel(*eta))
+    assert_scan_equals_row_tensor(k, step=n_total + 1)
+
+
+@pytest.mark.parametrize("n_total", [15, 150])
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_row_chunk_size_changes_nothing(n_total, step, rng):
+    # cutting the row tensor into chunks of `step` l_a values changes no row
+    # and no branch sum against the scan, not even by rounding
+    k = losses._kernel(FockState(random_state(rng, n_total)), LossChannel(0.8, 0.9))
+    assert_scan_equals_row_tensor(k, step)
 
 
 def test_loss_tables_bounded_before_allocation(rng, monkeypatch):
