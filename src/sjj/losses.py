@@ -20,7 +20,12 @@ One log-space kernel serves every form: the traced row
 sum of a branch's rows over n) and the conditional state (one branch's
 rows, normalized).  The binomial weights are tabulated once per state as
 two (N+1) x (N+1) arrays, and the (l_a, l_b, n) row tensor is scanned
-one l_a at a time.
+one l_a at a time.  Each binomial weight is at most 1, so a branch
+probability is at most both marginal loss distributions,
+P[l_a, l_b] <= Pa[l_a] = sum_n |A_n|^2 Ta[n, l_a] and
+P[l_a, l_b] <= Pb[l_b] = sum_n |A_n|^2 Tb[n, l_b]; a scan that needs only
+the branches reaching a floor skips every (l_a, l_b) whose marginals lie
+below half of it.
 
 Mean-field losses: one-body decay N(t) = N(0) exp(-gamma_1 t) and
 three-body recombination N(t) = N(0)/sqrt(1 + 2 L_3 rho^2 t) with effective
@@ -132,7 +137,9 @@ class _Kernel:
 
 
 # largest (N+1)^2 of the kernel's tables: 128 MiB each, N <= 4095; the
-# README's N = 300 needs 0.7 MB, and the scan time grows as N^3
+# README's N = 300 needs 0.7 MB.  A scan with no floor evaluates all
+# ~N^3/3 rows; one with a floor only the rows of the branches whose
+# marginals reach it
 _MAX_TABLE = 1 << 24
 
 
@@ -153,26 +160,52 @@ def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
     )
 
 
-def _scan(k: _Kernel, row_min: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _marginals(k: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal loss distributions Pa[l_a] = sum_n |A_n|^2 Ta[n, l_a]
+    and Pb[l_b] = sum_n |A_n|^2 Tb[n, l_b], each term formed in log space
+    as the rows are."""
+    return np.exp(k.log_ta + k.log_p).sum(axis=-1), np.exp(k.log_tb + k.log_p).sum(axis=-1)
+
+
+def _scan(
+    k: _Kernel, row_min: float, floor: float = 0.0
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Branch probabilities P[l_a, l_b] = sum_n row(l_a, l_b, n), and the
     (l_a, l_b, n, row) columns of the rows with row >= row_min and row > 0,
     in (l_a, l_b, n) order.  The row tensor is built one l_a at a time, its
     (l_b, n) slab cut to l_b <= N - l_a and n <= N - l_a, past which every
-    row is 0."""
+    row is 0.
+
+    Branches that cannot reach `floor` are skipped: a slab is built only
+    for the l_a with Pa[l_a] >= floor/2, on the rows l_b with
+    Pb[l_b] >= floor/2 (see :func:`_marginals`).  The factor 2 covers the
+    ~1e-12 relative rounding by which a computed P may exceed its computed
+    marginals.  P is exact wherever it is >= floor, and is 0 for a skipped
+    branch; every row of a built slab, and every sum, is the one the whole
+    tensor gives, bit for bit."""
     size = len(k.log_p)
     prob = np.zeros((size, size))
-    found = []
-    for l_a in range(size):
+    # the empty columns stand in when no branch reaches the floor
+    found = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
+    pa, pb = _marginals(k)
+    if k.mirror:
+        # Pa = Pb in exact arithmetic, but their sums round differently:
+        # one bound for both keeps or skips each mirror pair together
+        pa = pb = np.maximum(pa, pb)
+    keep_a, keep_b = pa >= 0.5 * floor, pb >= 0.5 * floor
+    for l_a in np.flatnonzero(keep_a).tolist():
         m = size - l_a
-        slab = k.log_ta[l_a, :m] + k.log_tb[:m, :m]
+        rows_b = np.flatnonzero(keep_b[:m])
+        slab = k.log_ta[l_a, :m] + k.log_tb[rows_b, :m]
         slab += k.log_p[:m]
         np.exp(slab, out=slab)
-        prob[l_a, :m] = slab.sum(axis=-1)
+        sums = slab.sum(axis=-1)
+        prob[l_a, rows_b] = sums
         # only a branch whose sum reaches row_min can hold such a row
-        lb = np.flatnonzero(prob[l_a, :m] >= row_min)
+        lb = np.flatnonzero(sums >= row_min)
         sub = slab[lb]
         j, n = np.nonzero((sub >= row_min) & (sub > 0.0))
-        found.append((np.full(len(j), l_a), lb[j], n, sub[j, n]))
+        found.append((np.full(len(j), l_a), rows_b[lb[j]], n, sub[j, n]))
     if k.mirror:
         # make the tie exact, so (l_a, l_b) and not rounding orders each mirror pair
         prob = 0.5 * (prob + prob.T)
@@ -239,7 +272,7 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
     """
     _check_p_min(p_min)
     k = _kernel(s, ch)
-    prob, _ = _scan(k, math.inf)
+    prob, _ = _scan(k, math.inf, floor=p_min)
     la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
     order = np.lexsort((lb, la, -prob[la, lb]))
     return [_branch(k, a, b, float(prob[a, b])) for a, b in zip(la[order].tolist(), lb[order].tolist())]
@@ -263,7 +296,8 @@ def traced_mixture(
     branches and by n within a branch.  Rows below row_min and rows that
     are exactly 0 are left out; p_min still applies to the whole branch."""
     _check_p_min(p_min)
-    prob, (la, lb, n, rows) = _scan(_kernel(s, ch), row_min)
+    # no row of a branch below row_min reaches row_min
+    prob, (la, lb, n, rows) = _scan(_kernel(s, ch), row_min, floor=max(p_min, row_min))
     branch = prob[la, lb]
     kept = np.flatnonzero(branch >= p_min)
     order = kept[np.argsort(-branch[kept], kind="stable")]

@@ -74,7 +74,11 @@ class TwoModeParams:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
         if self.n_total > _MAX_N:
             raise ValueError(f"n_total must be at most {_MAX_N}, got {self.n_total}")
-        if not math.isfinite(self.coupling):
+        try:
+            finite = math.isfinite(self.coupling)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"coupling must be finite, got {self.coupling}")
         if self.coupling < 0:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
@@ -119,7 +123,8 @@ class FockState:
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        # written so that a NaN norm fails it too
+        if not abs(norm2 - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes not normalized: sum |A_n|^2 = {norm2!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)

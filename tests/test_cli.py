@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sjj import cli, eigensolve, ground_state
+from sjj import cli, eigensolve, ground_state, losses
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -171,6 +171,23 @@ def test_losses_readme_mixture_mirror_pairs_identical(tmp_path):
     assert min(probs) >= 1e-100
     # complete within 1e-12, plus the rounding of each row to 12 significant digits
     assert abs(math.fsum(probs) - 1.0) <= 1e-12 + 5e-12
+
+
+def test_losses_branch_floor_changes_no_byte(tmp_path, monkeypatch):
+    # the scan skips the branches that cannot reach the printed floor; a
+    # scan that evaluates every branch writes the same bytes
+    readme = ["losses", "--model", "sjj", "--n", "300", "--coupling", "4"]
+    commands = [readme, [*readme, "--p-min", "1e-6"], [*readme, "--la", "1", "--lb", "0"],
+                [*readme, "--format", "json"],
+                ["losses", "--model", "bjj", "--n", "150", "--coupling", "2",
+                 "--eta-a", "0.8", "--eta-b", "0.9", "--p-min", "1e-9"]]
+    skipping = [run(tmp_path, f"skip{i}", argv) for i, argv in enumerate(commands)]
+    scan = losses._scan
+    monkeypatch.setattr(losses, "_scan", lambda k, row_min, floor=0.0: scan(k, row_min))
+    for i, argv in enumerate(commands):
+        rc, f = run(tmp_path, f"all{i}", argv)
+        assert rc == skipping[i][0] == 0
+        assert f.read_bytes() == skipping[i][1].read_bytes(), argv
 
 
 @pytest.mark.parametrize("model", ["sjj", "bjj"])

@@ -260,15 +260,22 @@ def test_loss_completeness_random_states(seed, n_total, eta_a, eta_b):
     assert abs(math.fsum(traced_mixture(s, ch).prob.tolist()) - 1.0) <= 1e-12
 
 
+def whole_row_tensor(k, la: slice):
+    """The rows of the (l_a, l_b, n) tensor for the l_a in `la`, evaluated
+    at once, and their branch sums: branch l_a sums its n <= N - l_a, and
+    every row past that is 0."""
+    size = len(k.log_p)
+    tensor = np.exp(k.log_ta[la, None, :] + k.log_tb[None, :, :] + k.log_p)
+    prob = np.stack([t[:, : size - l_a].sum(axis=-1) for t, l_a in zip(tensor, range(size)[la])])
+    return tensor, prob
+
+
 def assert_scan_equals_row_tensor(k, step):
     """`_scan` against the (l_a, l_b, n) tensor evaluated `step` l_a at a time."""
     size = len(k.log_p)
-    tensor = np.concatenate([
-        np.exp(k.log_ta[lo:lo + step, None, :] + k.log_tb[None, :, :] + k.log_p)
-        for lo in range(0, size, step)
-    ])
-    # branch l_a sums its n <= N - l_a; every row past that is 0
-    prob = np.stack([tensor[la, :, : size - la].sum(axis=-1) for la in range(size)])
+    tensor, prob = (np.concatenate(part) for part in zip(*(
+        whole_row_tensor(k, slice(lo, lo + step)) for lo in range(0, size, step)
+    )))
     if k.mirror:
         prob = 0.5 * (prob + prob.T)
     for row_min in (0.0, 1e-6):
@@ -295,6 +302,106 @@ def test_row_chunk_size_changes_nothing(n_total, step, rng):
     # and no branch sum against the scan, not even by rounding
     k = losses._kernel(FockState(random_state(rng, n_total)), LossChannel(0.8, 0.9))
     assert_scan_equals_row_tensor(k, step)
+
+
+def assert_floor_scan_exact(k, floors, row_mins=(0.0, 1e-6, math.inf)):
+    """`_scan(k, row_min, floor)` against the whole row tensor, one l_a at a
+    time: every branch it computes and every row it returns is the
+    tensor's, bit for bit; every branch it skips is below the floor.
+    Returns the number of nonzero branches each floor skipped."""
+    size = len(k.log_p)
+    scans = {(f, r): losses._scan(k, r, f) for f in floors for r in row_mins}
+    want = np.zeros((size, size))
+    for l_a in range(size):
+        tensor, want[l_a] = whole_row_tensor(k, slice(l_a, l_a + 1))
+        for (_, row_min), (got_prob, (la, lb, n, rows)) in scans.items():
+            at = slice(*np.searchsorted(la, [l_a, l_a + 1]))
+            computed = got_prob[l_a] != 0.0
+            kept = np.nonzero((tensor[0] >= row_min) & (tensor[0] > 0.0) & computed[:, None])
+            assert np.array_equal(lb[at], kept[0]) and np.array_equal(n[at], kept[1])
+            assert np.array_equal(rows[at], tensor[0][kept])
+    if k.mirror:
+        want = 0.5 * (want + want.T)
+    skipped = {}
+    for (floor, _), (got_prob, _) in scans.items():
+        computed = got_prob != 0.0
+        assert np.array_equal(got_prob[computed], want[computed])
+        assert np.all((want[~computed] < floor) | (want[~computed] == 0.0))
+        skipped[floor] = int(np.count_nonzero(~computed & (want > 0.0)))
+    return skipped
+
+
+@pytest.mark.parametrize("n_total", [15, 150, 300])
+@pytest.mark.parametrize("eta", [(0.8, 0.9), (0.999, 0.999)], ids=["asym", "sym"])
+@pytest.mark.parametrize("state", ["random", "ground"])
+def test_scan_floor_skips_only_branches_below_it(n_total, eta, state, rng):
+    # the marginal bound skips branches that cannot reach the floor and
+    # changes no branch or row that can, not even by rounding
+    if state == "random":
+        s = FockState(random_state(rng, n_total))
+    else:
+        s = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 4.0)))[1]
+    k = losses._kernel(s, LossChannel(*eta))
+    assert k.mirror == (state == "ground" and eta[0] == eta[1])
+    skipped = assert_floor_scan_exact(k, floors=(0.0, 1e-100, 1e-6))
+    assert skipped[0.0] == 0
+    assert skipped[1e-6] > 0
+
+
+def test_scan_floor_keeps_mirror_pairs_together():
+    # for a mirror state at eta_a = eta_b the marginals Pa and Pb are equal
+    # in exact arithmetic but round differently; a floor at twice either
+    # one of a differing pair would keep l on one side and skip it on the
+    # other, and the symmetrised P would halve the one branch computed
+    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 60, 4.0)))
+    k = losses._kernel(g, LossChannel(0.97, 0.97))
+    assert k.mirror
+    pa, pb = losses._marginals(k)
+    differ = np.flatnonzero(pa != pb)[:6]
+    assert len(differ) == 6
+    floors = tuple(2.0 * x for l in differ.tolist() for x in (pa[l], pb[l]))
+    assert_floor_scan_exact(k, floors, row_mins=(0.0,))
+    for floor in floors:
+        prob, _ = losses._scan(k, 0.0, floor)
+        assert np.array_equal(prob, prob.T)
+
+
+@pytest.mark.parametrize("eta", [(0.8, 0.9), (0.97, 0.97)], ids=["asym", "sym"])
+@pytest.mark.parametrize("state", ["random", "ground"])
+def test_mixture_floor_is_a_cut(eta, state, rng):
+    # loss_mixture with p_min is the complete mixture cut at p_min, with
+    # every probability and branch state bit for bit
+    if state == "random":
+        s = FockState(random_state(rng, 40))
+    else:
+        s = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 40, 4.0)))[1]
+    ch = LossChannel(*eta)
+    full = loss_mixture(s, ch)
+    for p_min in (1e-100, 1e-6, 1e-3, 0.5):
+        cut = loss_mixture(s, ch, p_min)
+        want = [b for b in full if b.probability >= p_min]
+        assert [(b.l_a, b.l_b, b.probability) for b in cut] == [(b.l_a, b.l_b, b.probability) for b in want]
+        assert all(np.array_equal(b.state.amps, w.state.amps) for b, w in zip(cut, want))
+
+
+def test_readme_loss_scan_work_bounded(monkeypatch):
+    # the traced README table (SJJ, N = 300, coupling 4, eta = 0.999, rows
+    # >= 1e-100) passes 981,644 values to exp: 800,442 slab rows and
+    # 2 x 301^2 marginal terms, against 9,135,651 for the whole row tensor
+    counted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            counted.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 300, 4.0)))
+    monkeypatch.setattr(losses, "np", CountingNumpy())
+    traced_mixture(g, LossChannel(0.999, 0.999), row_min=1e-100)
+    assert sum(counted) <= 1_000_000
 
 
 def test_loss_tables_bounded_before_allocation(rng, monkeypatch):
@@ -324,6 +431,8 @@ def test_traced_rows_order_and_floor(rng):
     cut = traced_mixture(s, ch, p_min=1e-3)
     kept = {(b.l_a, b.l_b) for b in mix if b.probability >= 1e-3}
     assert set(zip(cut.l_a.tolist(), cut.l_b.tolist())) == kept
+    # no branch reaches a p_min above 1, so the scan builds no slab
+    assert all(len(col) == 0 for col in traced_mixture(s, ch, p_min=2.0))
     with pytest.raises(ValueError):
         traced_mixture(s, ch, p_min=-1.0)
 

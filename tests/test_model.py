@@ -28,6 +28,7 @@ def test_params_validation():
         with pytest.raises(ValueError, match="coupling must be finite"):
             TwoModeParams(BJJ, 10, coupling)
     TwoModeParams(BJJ, model._MAX_N, 1.0)
+    TwoModeParams(BJJ, 10, 10**300)  # an int inside the float range is finite
     with pytest.raises(ValueError, match=f"n_total must be at most {model._MAX_N}"):
         TwoModeParams(SJJ, model._MAX_N + 1, 1.0)
     with pytest.warns(UserWarning) as record:
@@ -138,6 +139,23 @@ def test_fock_state_validation():
     assert s.n_total == 1
     with pytest.raises(ValueError):
         s.amps[0] = 0.0  # amplitudes are read-only
+
+
+@pytest.mark.parametrize("coupling", [10**400, -10**400], ids=["10^400", "-10^400"])
+def test_params_int_coupling_beyond_float_range(coupling):
+    # math.isfinite raises OverflowError on such an int; the documented
+    # error is the ValueError
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        TwoModeParams(SJJ, 10, coupling)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                 complex(0.0, math.inf)])
+def test_fock_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="amplitudes not normalized"):
+        FockState(np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="amplitudes not normalized"):
+        FockState(np.array([bad]))
 
 
 def test_hamiltonian_shape_validation():
