@@ -12,7 +12,8 @@ laboratory-unit parameter conversions, plus a CLI for parameter sweeps.
 ``import sjj`` is cheap: each public name below is imported from its
 submodule on first access (PEP 562), so a caller that needs only the
 closed-form Hartree branches or the laboratory conversions never loads
-numpy.
+numpy.  ``_EXPORTS`` is the one list of public names; each submodule's
+``__all__`` reads its entry (``physical`` adds its three constants).
 """
 
 from __future__ import annotations
@@ -21,27 +22,30 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; ``sjj.<name>`` imports the
-# submodule on first access, and ``sjj.<submodule>`` works without an import
+# The one list of public names: submodule -> the names it defines.  Each
+# submodule's ``__all__`` reads its entry; ``sjj.<name>`` imports the
+# submodule on first access, and ``sjj.<submodule>`` works without an import.
 _EXPORTS = {
     "model": ("ModelKind", "TwoModeParams", "TridiagonalHamiltonian", "FockState",
               "build_hamiltonian", "apply_hamiltonian"),
-    "eigensolve": ("Spectrum", "eigen_decompose", "eigenvalues", "ground_state", "ground",
-                   "propagate", "energy_gap"),
-    "meanfield": ("MeanFieldState", "Trajectory", "SteadyState", "rhs", "energy_h", "integrate",
-                  "steady_states", "overlap_integral", "kappa_eff", "lambda_eff"),
+    "eigensolve": ("Spectrum", "EigensolveError", "eigen_decompose", "eigenvalues",
+                   "ground_state", "ground", "propagate", "energy_gap"),
+    "meanfield": ("MeanFieldState", "Trajectory", "SteadyState", "MeanFieldIntegrationError",
+                  "rhs", "energy_h", "integrate", "steady_states", "overlap_integral",
+                  "kappa_eff", "lambda_eff", "wrap_phase"),
     "hartree": ("HartreeSolution", "stationary_solutions", "exact_branch_energy", "cat_overlap",
                 "coherent_fock_amplitudes", "cat_state", "noon_state"),
-    "observables": ("SpinExpectations", "spin_expectations", "hz_criterion", "hz1_from_spins",
-                    "planar_squeezing", "cj_scan", "crossover_coupling", "mean_imbalance",
-                    "UndefinedCriterionError"),
+    "observables": ("SpinExpectations", "PlanarSqueezing", "CJScanResult",
+                    "UndefinedCriterionError", "spin_expectations", "mean_imbalance",
+                    "hz_criterion", "hz1_from_spins", "planar_squeezing", "refine_minimum",
+                    "cj_scan", "crossover_coupling"),
     "losses": ("LossChannel", "ConditionalState", "ZeroProbabilityBranchError", "bs_coefficient",
                "conditional_state", "loss_mixture", "TracedRows", "traced_mixture",
                "three_body_decay", "one_body_decay", "gamma3"),
     "physical": ("TrapParams", "atomic_mass", "nonlinearity_u", "coupling_lambda",
-                 "coupling_Lambda", "critical_atom_number", "gap_soliton_number",
-                 "wp_coefficient"),
-    "logspace": (),
+                 "coupling_Lambda", "wp_coefficient", "critical_atom_number",
+                 "gap_soliton_number"),
+    "logspace": ("log_factorial", "logsumexp"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -48,7 +48,8 @@ the library rejects is a domain error like any other.  JSON output (RFC
 one echoed from the configuration, is a domain error naming its key.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
-4 numerical failure.
+4 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports for coreutils; nothing is printed).
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141
 
 # UndefinedCriterionError and ZeroProbabilityBranchError are ValueErrors
 _DOMAIN_ERRORS = (ValueError,)
@@ -583,6 +585,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = _resolve(command, args)
         _SPEC[command].run(resolved)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull so
+        # the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         parser.error(str(exc))
     except _DOMAIN_ERRORS as exc:

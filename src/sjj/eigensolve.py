@@ -46,19 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .model import (FockState, ModelKind, TridiagonalHamiltonian, TwoModeParams,
                     apply_hamiltonian, build_hamiltonian)
 
-__all__ = [
-    "Spectrum",
-    "EigensolveError",
-    "eigen_decompose",
-    "eigenvalues",
-    "ground_state",
-    "ground",
-    "propagate",
-    "energy_gap",
-]
+__all__ = list(_EXPORTS["eigensolve"])
 
 _SIGN_FLOOR = 1e-12
 # a zero pivot of a Sturm sequence becomes the smallest normal double times

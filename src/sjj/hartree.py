@@ -31,20 +31,13 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
 if TYPE_CHECKING:
     from .model import FockState
 
-__all__ = [
-    "HartreeSolution",
-    "stationary_solutions",
-    "exact_branch_energy",
-    "cat_overlap",
-    "coherent_fock_amplitudes",
-    "cat_state",
-    "noon_state",
-]
+__all__ = list(_EXPORTS["hartree"])
 
 
 @dataclass(frozen=True)

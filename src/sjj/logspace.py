@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 
-__all__ = ["log_factorial", "logsumexp"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["logspace"])
 
 
 @functools.cache

@@ -40,22 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .logspace import log_factorial
 from .model import FockState
 
-__all__ = [
-    "LossChannel",
-    "ConditionalState",
-    "ZeroProbabilityBranchError",
-    "bs_coefficient",
-    "conditional_state",
-    "loss_mixture",
-    "TracedRows",
-    "traced_mixture",
-    "three_body_decay",
-    "one_body_decay",
-    "gamma3",
-]
+__all__ = list(_EXPORTS["losses"])
 
 
 class ZeroProbabilityBranchError(ValueError):

@@ -26,22 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
-__all__ = [
-    "MeanFieldState",
-    "Trajectory",
-    "SteadyState",
-    "MeanFieldIntegrationError",
-    "rhs",
-    "energy_h",
-    "integrate",
-    "steady_states",
-    "overlap_integral",
-    "kappa_eff",
-    "lambda_eff",
-    "wrap_phase",
-]
+__all__ = list(_EXPORTS["meanfield"])
 
 # the 1.21 and 0.42 of dtheta/dtau, bit for bit
 _ONE_PLUS_FIT = 1.0 + _OVERLAP_FIT

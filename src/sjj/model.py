@@ -31,16 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .overlap_fit import _OVERLAP_FIT
 
-__all__ = [
-    "ModelKind",
-    "TwoModeParams",
-    "TridiagonalHamiltonian",
-    "FockState",
-    "build_hamiltonian",
-    "apply_hamiltonian",
-]
+__all__ = list(_EXPORTS["model"])
 
 
 # largest particle number of a model: about 330 times the README's largest N

@@ -28,24 +28,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .eigensolve import ground
 from .logspace import log_factorial, logsumexp
 from .model import FockState, ModelKind
 
-__all__ = [
-    "SpinExpectations",
-    "PlanarSqueezing",
-    "CJScanResult",
-    "UndefinedCriterionError",
-    "spin_expectations",
-    "mean_imbalance",
-    "hz_criterion",
-    "hz1_from_spins",
-    "planar_squeezing",
-    "refine_minimum",
-    "cj_scan",
-    "crossover_coupling",
-]
+__all__ = list(_EXPORTS["observables"])
 
 
 class UndefinedCriterionError(ValueError):

@@ -25,19 +25,10 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-__all__ = [
-    "HBAR",
-    "ATOMIC_MASS_KG",
-    "SPECIES_MASS_U",
-    "TrapParams",
-    "atomic_mass",
-    "nonlinearity_u",
-    "coupling_lambda",
-    "coupling_Lambda",
-    "wp_coefficient",
-    "critical_atom_number",
-    "gap_soliton_number",
-]
+from . import _EXPORTS
+
+# module data has no __module__, so the package table lists functions and classes only
+__all__ = list(_EXPORTS["physical"]) + ["HBAR", "ATOMIC_MASS_KG", "SPECIES_MASS_U"]
 
 HBAR = 1.054_571_817e-34  # J s
 ATOMIC_MASS_KG = 1.660_539_069e-27  # kg

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -300,6 +301,10 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["crossover", "--model", "sjj", "--n", "50", "--criterion", "bogus"])
     assert exc.value.code == 2
+    for grid in ("1:2", "0:1:0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--model", "sjj", "--n", "4", "--grid", grid])
+        assert exc.value.code == 2
 
 
 def test_grid_point_bound():
@@ -376,13 +381,17 @@ print("scipy" in sys.modules)
 """
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this sjj."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
 def _last_two_lines(script: str, tmp_path) -> list[str]:
     """The last two lines a script prints, run in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_child_env(), timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split("\n")[-3:-1]
@@ -520,6 +529,35 @@ def test_bad_config_value_is_usage_error(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_invocations_parse(seed, tmp_path):
+    # every command line perfbench/workloads.py builds (the passes and the
+    # tail probe) must still parse and resolve; nothing is run
+    path = Path(cli.__file__).parents[2] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    for workload in workloads["WORKLOADS"]:
+        passes, probe = workloads["build"](workload, seed)
+        for invocation in [*passes, probe]:
+            args = cli._build_parser().parse_args(invocation.argv(str(tmp_path)))
+            resolved = cli._resolve(args.command, args)
+            assert resolved["output"] == str(tmp_path / invocation.output)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ('{"n": 10', "cannot read config file"),
+    ('[{"n": 10}]', "must hold a JSON object"),
+], ids=["missing", "malformed", "list"])
+def test_unusable_config_file_is_usage_error(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(GROUND + ["--config", str(path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_valid_config_values_echo_as_given(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "bjj", "n": "6", "grid": "0:1:0.5", "refine": False,
@@ -569,6 +607,19 @@ def test_stdout_output(capsys):
     assert lines[0].startswith("# sjj ")
     assert lines[1] == "n,prob,amp"
     assert len(lines) == 2 + 5
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # about 120 KB of rows, more than a 64 KiB pipe buffer holds
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sjj.cli", "ground", "--model", "sjj", "--n", "3000",
+         "--coupling", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert child.stdout.readline().startswith(b"# sjj ")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_float_formatting(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjj import (
+    HartreeSolution,
     ModelKind,
     TwoModeParams,
     apply_hamiltonian,
@@ -97,6 +98,8 @@ def test_cat_overlap_values():
     assert np.all(np.diff(vals) > 0.0)
     with pytest.raises(ValueError):
         cat_overlap(1.0, 10)
+    with pytest.raises(ValueError, match="n_total must be >= 1"):
+        cat_overlap(2.0, 0)
 
 
 def test_coherent_amplitudes_edge_cases():
@@ -106,6 +109,8 @@ def test_coherent_amplitudes_edge_cases():
     assert s.amps[-1] == 1.0 and np.all(s.amps[:-1] == 0.0)
     with pytest.raises(ValueError):
         coherent_fock_amplitudes(0.9, 0.9, 7)
+    with pytest.raises(ValueError, match="n_total must be >= 1"):
+        coherent_fock_amplitudes(R2, R2, 0)
 
 
 def test_coherent_amplitudes_binomial():
@@ -151,6 +156,8 @@ def test_noon_state_amplitudes():
     assert np.all(s.amps[1:12] == 0.0)
     s = noon_state(5, phase=math.pi)
     assert abs(s.amps[5] + R2) <= 1e-15
+    with pytest.raises(ValueError, match="n_total must be >= 1"):
+        noon_state(0)
 
 
 @pytest.mark.parametrize("n_total", [50, 100, 300])
@@ -174,6 +181,15 @@ def test_cat_overlap_rejects_n_beyond_float():
     # 10**400 used to end in OverflowError when N met a float
     with pytest.raises(ValueError, match="n_total must be at most"):
         cat_overlap(2.0, 10**400)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(s=0.0, alpha=0.6, beta=0.6), r"alpha\^2 \+ beta\^2 must equal 1"),
+    (dict(s=0.5, alpha=R2, beta=R2), r"S must equal beta\^2 - alpha\^2"),
+])
+def test_hartree_solution_rejects_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        HartreeSolution(**fields, theta=0.0, energy=-1.0, branch="S0")
 
 
 def _check_window(Lambda, n_total):

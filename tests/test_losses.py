@@ -444,6 +444,9 @@ def test_three_body_decay():
     assert abs(three_body_decay(100.0, 2.6e-28, 1e13, 3.0 / g3) - 50.0) <= 1e-9
     with pytest.raises(ValueError):
         three_body_decay(-1.0, 2.6e-28, 1e13, 0.0)
+    for l3, rho in [(-2.6e-28, 1e13), (2.6e-28, -1e13)]:
+        with pytest.raises(ValueError, match="l3 and rho must be >= 0"):
+            gamma3(l3, rho)
 
 
 def test_one_body_decay():
@@ -452,3 +455,6 @@ def test_one_body_decay():
     assert abs(ratio - math.exp(-0.0064)) <= 1e-15
     assert abs(ratio - 0.99362) <= 1e-5
     assert abs(one_body_decay(8.0, 1.0, math.log(2.0)) - 4.0) <= 1e-12
+    for args in [(-1.0, 0.2, 0.0), (1.0, -0.2, 0.0), (1.0, 0.2, -1.0)]:
+        with pytest.raises(ValueError, match="all inputs must be >= 0"):
+            one_body_decay(*args)

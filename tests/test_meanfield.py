@@ -120,6 +120,9 @@ def test_integrate_domain_abort():
     # a absurdly large step makes the scheme overshoot |z| = 1
     with pytest.raises(MeanFieldIntegrationError):
         integrate(MeanFieldState(0.97, math.pi / 2), 0.0, 400.0, 2.0)
+    # a coupling near the float limit makes the first step overflow
+    with pytest.raises(MeanFieldIntegrationError, match="integration overflow"):
+        integrate(MeanFieldState(0.5, 0.0), 1e308, 10.0, 1e-3)
 
 
 def test_steady_states_branches():
@@ -139,6 +142,8 @@ def test_steady_states_branches():
     assert "pinned+" in {s.branch for s in steady_states(1.58)}
     assert "self-trapped+" not in {s.branch for s in steady_states(1.58)}
     assert "self-trapped+" in {s.branch for s in steady_states(2.42)}
+    with pytest.raises(ValueError, match="Lambda must be >= 0"):
+        steady_states(-1.0)
 
 
 def test_steady_states_are_fixed_points():
@@ -152,6 +157,8 @@ def test_overlap_integral_closed_forms():
     assert abs(overlap_integral(0.0) - 1.0) <= 1e-10
     assert abs(overlap_integral(1.0) - math.pi / 4) <= 1e-9
     assert abs(overlap_integral(-1.0) - math.pi / 4) <= 1e-9
+    with pytest.raises(ValueError, match="must be <= 1"):
+        overlap_integral(1.5)
 
 
 def test_overlap_integral_quadratic_fit():
@@ -178,6 +185,8 @@ def test_kappa_eff():
     assert np.all(np.diff(vals) < 0.0)
     with pytest.raises(ValueError):
         kappa_eff(0.1, 0.0)
+    with pytest.raises(ValueError, match="must be <= 1"):
+        kappa_eff(1.5, 0.1)
 
 
 def test_lambda_eff_identity():

@@ -25,6 +25,7 @@ from sjj import (
     planar_squeezing,
     spin_expectations,
 )
+from sjj import observables
 from sjj.observables import cj_scan, refine_minimum
 from oracles import dense_hz, random_balanced_state, random_state
 
@@ -198,6 +199,9 @@ def test_refine_minimum_quadratic():
     assert len(evaluated) > 21
     with pytest.raises(ValueError):
         refine_minimum(lambda x: x, np.array([]))
+    for grid in ([0.0, 0.5, 0.5], [1.0, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            refine_minimum(lambda x: x, np.array(grid))
 
 
 @pytest.mark.parametrize("refine_to", [-1.0, math.nan])
@@ -242,6 +246,8 @@ def test_crossover_default_values():
     assert 2.000 <= sjj <= 2.002
     bjj = crossover_coupling(BJJ, 300)
     assert 0.95 <= bjj <= 1.15
+    # a bracket whose top is below the flip doubles it up to 4 first
+    assert abs(crossover_coupling(SJJ, 300, bracket=(0.25, 0.5)) - sjj) <= 1e-7
 
 
 def test_crossover_edge_predicate():
@@ -267,13 +273,17 @@ def test_crossover_small_and_monotone():
     assert values[0] > values[1] > values[2]
 
 
-def test_crossover_validation():
+def test_crossover_validation(monkeypatch):
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 3)
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 300, criterion="nope")
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 300, bracket=(3.0, 4.0))  # already past the flip
+    # a witness that never jumps stops the bracket doubling past 1e6
+    monkeypatch.setattr(observables, "hz_criterion", lambda state, m: 0.0)
+    with pytest.raises(ValueError, match="never satisfied"):
+        crossover_coupling(SJJ, 10, criterion="hz_jump")
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])

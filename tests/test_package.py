@@ -44,3 +44,15 @@ def test_submodule_attribute_and_unknown_name():
     assert sjj.eigensolve is importlib.import_module("sjj.eigensolve")
     with pytest.raises(AttributeError, match="no_such_name"):
         sjj.no_such_name
+
+
+def test_error_classes_are_exported():
+    assert sjj.EigensolveError is sjj.eigensolve.EigensolveError
+    assert sjj.MeanFieldIntegrationError is sjj.meanfield.MeanFieldIntegrationError
+
+
+@pytest.mark.parametrize("module", sorted(sjj._EXPORTS))
+def test_submodule_all_is_its_exports_entry(module):
+    # physical adds its module data, which the package table cannot hold
+    extra = ["HBAR", "ATOMIC_MASS_KG", "SPECIES_MASS_U"] if module == "physical" else []
+    assert importlib.import_module(f"sjj.{module}").__all__ == [*sjj._EXPORTS[module], *extra]

@@ -45,6 +45,12 @@ def test_nonlinearity_worked_numbers():
 def test_derived_transverse_length():
     tp = lithium_trap(77.0, a_perp=None)
     assert 1.38e-6 <= tp.a_perp_eff <= 1.48e-6  # ~1.4 um for 7Li at 700 Hz
+    # hbar / (mass * omega_perp) underflows to 0, so the derived a_perp is 0
+    flat = TrapParams(a_sc=1e-9, omega_x=1.0, omega_perp=1e300, tunnel_rate=1.0, n_atoms=5,
+                      mass=1e300)
+    assert flat.a_perp_eff == 0.0
+    with pytest.raises(ValueError, match="a_perp must be nonzero"):
+        nonlinearity_u(flat)
 
 
 def test_coupling_lambda_worked_number():
@@ -80,6 +86,10 @@ def test_bridge_identity(rng):
         lhs = coupling_Lambda(tp)
         rhs = wp_coefficient(tp) * coupling_lambda(tp) ** 2
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    # nu = 0 leaves the bridge coefficient undefined
+    with pytest.raises(ValueError, match="omega_x must be nonzero"):
+        wp_coefficient(TrapParams(a_sc=1e-9, omega_x=0.0, omega_perp=10.0, tunnel_rate=1.0,
+                                  n_atoms=5, mass=1e-26))
 
 
 def test_zero_tunneling_errors():
@@ -180,6 +190,14 @@ def test_trap_validation():
     with pytest.raises(ValueError):
         TrapParams(a_sc=1e-9, omega_x=1.0, omega_perp=10.0, tunnel_rate=1.0,
                    n_atoms=5, mass=1e-26, a_perp=-1.0)
+    good = dict(a_sc=1e-9, omega_x=1.0, omega_perp=10.0, tunnel_rate=1.0, n_atoms=5,
+                mass=1e-26)
+    for field, value, message in [("omega_x", -1.0, "omega_x must be >= 0"),
+                                  ("tunnel_rate", -1.0, "tunnel_rate must be >= 0"),
+                                  ("mass", 0.0, "mass must be > 0"),
+                                  ("mass", -1e-26, "mass must be > 0")]:
+        with pytest.raises(ValueError, match=message):
+            TrapParams(**{**good, field: value})
 
 
 def test_dimensionless_outputs(rng):
