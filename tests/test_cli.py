@@ -611,14 +611,15 @@ def test_stdout_output(capsys):
 
 def test_closed_stdout_pipe_exits_141_silently():
     # about 120 KB of rows, more than a 64 KiB pipe buffer holds
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "sjj.cli", "ground", "--model", "sjj", "--n", "3000",
          "--coupling", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
-    assert child.stdout.readline().startswith(b"# sjj ")
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    ) as child:
+        assert child.stdout.readline().startswith(b"# sjj ")
+        child.stdout.close()
+        err = child.stderr.read()
+    assert child.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
 
 
