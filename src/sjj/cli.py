@@ -42,14 +42,19 @@ of the whole document rendered at once.
 The module imports the standard library only; each command imports the
 sjj modules it calls, and numpy with them, when it runs.  So --version,
 hartree and physical start without numpy (hartree reads its window from
-sjj.overlap_fit), and only spectrum loads scipy.  A non-finite input that
-the library rejects is a domain error like any other.  JSON output (RFC
-8259) never holds NaN or Infinity: a non-finite value to be written, also
-one echoed from the configuration, is a domain error naming its key.
+sjj.overlap_fit), and only spectrum loads LAPACK, from scipy's compiled
+scipy.linalg._flapack; nothing in sjj imports scipy.linalg.  A non-finite
+input that the library rejects is a domain error like any other.  JSON
+output (RFC 8259) never holds NaN or Infinity: a non-finite value to be
+written, also one echoed from the configuration, is a domain error naming
+its key.
 
 Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
 4 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE, as a
-shell reports for coreutils; nothing is printed).
+shell reports for coreutils; nothing is printed).  A UserWarning that a
+command raises (SJJ at coupling 0) is printed once per distinct message as
+'sjj <command>: warning: <message>', without the source path and line a
+Python warning quotes, so stderr does not depend on where sjj is installed.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
@@ -578,13 +584,31 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _warning_printer(command: str) -> Callable:
+    """A warnings.showwarning that prints each distinct UserWarning message
+    once as 'sjj <command>: warning: <message>' and passes any other
+    category to the current one.  The warning filters still apply first."""
+    show, seen = warnings.showwarning, set()
+
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, UserWarning):
+            show(message, category, filename, lineno, file, line)
+        elif str(message) not in seen:
+            seen.add(str(message))
+            print(f"sjj {command}: warning: {message}", file=sys.stderr)
+
+    return showwarning
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
     try:
         resolved = _resolve(command, args)
-        _SPEC[command].run(resolved)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_printer(command)
+            _SPEC[command].run(resolved)
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull so
         # the flush at interpreter exit does not raise again

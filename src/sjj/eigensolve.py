@@ -1,10 +1,12 @@
 """Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
 
 The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets every
-level with its vector from LAPACK (through scipy) and serves ``propagate``;
-``eigenvalues`` gets the energies alone from LAPACK's
-root-free QR iteration (``sterf``) and serves the spectrum sweep.  scipy is
-imported on the first of those calls only.  ``ground_state`` and
+level with its vector from LAPACK's divide and conquer (``stevd``) and
+serves ``propagate``; ``eigenvalues`` gets the energies alone from LAPACK's
+root-free QR iteration (``sterf``) and serves the spectrum sweep.  Both
+routines are called by name on scipy's compiled LAPACK module
+``scipy.linalg._flapack``, loaded from its file on the first of those calls
+(``_lapack``); nothing here imports ``scipy.linalg``.  ``ground_state`` and
 ``energy_gap`` need only the lowest levels and get them in pure Python by
 Sturm-count bisection (Barth, Martin & Wilkinson 1967, Numer. Math. 9, 386;
 the algorithm inside LAPACK ``stebz``), which costs O(N) per step and needs
@@ -40,7 +42,10 @@ and strictly positive above it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -86,16 +91,46 @@ class Spectrum:
         return len(self.energies)
 
 
-def _tridiagonal(solver: str, diag: np.ndarray, offdiag: np.ndarray, **options):
-    """Call the tridiagonal solver ``scipy.linalg.<solver>``, a failure as
-    EigensolveError.  scipy is imported here, so only the callers that need
-    LAPACK load it."""
-    import scipy.linalg
+_FLAPACK = "scipy.linalg._flapack"
 
-    try:
-        return getattr(scipy.linalg, solver)(diag, offdiag, **options)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolveError(f"tridiagonal eigensolver did not converge: {exc}") from exc
+
+def _lapack():
+    """scipy's compiled LAPACK module, whose routines ``scipy.linalg.lapack``
+    re-exports, loaded from its file in scipy's ``linalg`` directory.
+
+    Importing ``scipy.linalg`` costs ~0.3 s, most of it numpy submodules
+    that scipy's array-API shim pulls in; the extension alone loads in ~5 ms.
+    ``find_spec`` on the top-level name locates scipy without importing it.
+    The module is registered in ``sys.modules``, so a later ``import
+    scipy.linalg`` reuses it.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy_dir, "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _tridiagonal(diag: np.ndarray, offdiag: np.ndarray, vectors: bool = False):
+    """Levels of a symmetric tridiagonal from LAPACK ``dsterf``, or levels
+    and vectors from ``dstevd``; a nonzero ``info`` raises EigensolveError.
+
+    A 1 x 1 matrix is answered here: the ``dsterf`` wrapper rejects an empty
+    off-diagonal.  The inputs must be finite (TridiagonalHamiltonian checks
+    them): LAPACK does not, and returns finite levels for a NaN entry.
+    """
+    if len(diag) == 1:
+        levels = diag.astype(float)
+        return (levels, np.ones((1, 1))) if vectors else levels
+    routine, options = ("dstevd", {"compute_v": 1}) if vectors else ("dsterf", {})
+    *out, info = getattr(_lapack(), routine)(diag, offdiag, **options)
+    if info:
+        raise EigensolveError(f"LAPACK {routine} failed with info = {info}")
+    return tuple(out) if vectors else out[0]
 
 
 _Block = tuple[np.ndarray, np.ndarray]
@@ -284,10 +319,10 @@ def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
     """
     sectors = _sectors(h)
     if sectors is None:
-        energies, vectors = _tridiagonal("eigh_tridiagonal", h.diag, h.offdiag)
+        energies, vectors = _tridiagonal(h.diag, h.offdiag, vectors=True)
     else:
         (even_e, even_v), (odd_e, odd_v) = (
-            _tridiagonal("eigh_tridiagonal", *block) for block in sectors
+            _tridiagonal(*block, vectors=True) for block in sectors
         )
         dim = len(h.diag)
         energies = np.sort(np.concatenate((even_e, odd_e)))
@@ -309,10 +344,7 @@ def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
     """
     sectors = _sectors(h)
     blocks = [(h.diag, h.offdiag)] if sectors is None else sectors
-    energies = np.sort(np.concatenate([
-        _tridiagonal("eigvalsh_tridiagonal", *block, lapack_driver="sterf")
-        for block in blocks
-    ]))
+    energies = np.sort(np.concatenate([_tridiagonal(*block) for block in blocks]))
     energies.setflags(write=False)
     return energies
 

@@ -91,6 +91,8 @@ class TridiagonalHamiltonian:
     ``diag`` holds alpha_n (length N+1), ``offdiag`` holds beta_n (length N)
     coupling n and n+1.  All off-diagonal entries are <= 0, which makes the
     matrix an irreducible chain with a sign-definite ground vector for N >= 2.
+    Every entry must be finite: the LAPACK routines behind the eigensolvers
+    do not check, and return finite levels for a NaN entry.
     """
 
     diag: np.ndarray
@@ -102,6 +104,8 @@ class TridiagonalHamiltonian:
             raise ValueError("diag must have length n_total + 1")
         if len(self.offdiag) != self.params.n_total:
             raise ValueError("offdiag must have length n_total")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
+            raise ValueError("diag and offdiag must be finite")
 
     @property
     def n_total(self) -> int:

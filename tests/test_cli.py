@@ -2,17 +2,18 @@ import json
 import math
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-import scipy.linalg
 
-from sjj import cli, eigensolve, ground_state, losses
+from sjj import __version__, cli, eigensolve, ground_state, losses
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -237,15 +238,16 @@ def test_meanfield_numerical_failure_exit4(tmp_path):
     assert not out.exists()
 
 
-def test_spectrum_solver_failure_exit4(tmp_path, monkeypatch):
-    def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("no convergence")
+def test_spectrum_solver_failure_exit4(tmp_path, monkeypatch, capsys):
+    def fail(diag, offdiag):
+        return np.zeros(len(diag)), 1  # LAPACK's info > 0: no convergence
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+    monkeypatch.setattr(eigensolve._lapack(), "dsterf", fail)
     out = tmp_path / "fail.csv"
     rc = main(["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5",
                "-o", str(out)])
     assert rc == 4
+    assert "numerical failure: LAPACK dsterf failed with info = 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -377,7 +379,10 @@ for argv in commands:
     assert main(argv + ["-o", sys.argv[1]]) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 assert main(["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5", "-o", sys.argv[1]]) == 0
-print("scipy" in sys.modules)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+from sjj import eigensolve
+import scipy.linalg
+print(scipy.linalg.lapack.dsterf is eigensolve._lapack().dsterf)
 """
 
 
@@ -387,20 +392,21 @@ def _child_env() -> dict:
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
 
 
-def _last_two_lines(script: str, tmp_path) -> list[str]:
-    """The last two lines a script prints, run in a fresh interpreter."""
+def _printed_lines(script: str, tmp_path) -> list[str]:
+    """The lines a script prints, run in a fresh interpreter."""
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
         capture_output=True, text=True, env=_child_env(), timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.split("\n")[-3:-1]
+    return done.stdout.splitlines()
 
 
 def test_ground_commands_never_import_scipy(tmp_path):
-    loaded_by_other_commands, loaded_after_spectrum = _last_two_lines(_NO_SCIPY_SCRIPT, tmp_path)
-    assert loaded_by_other_commands == "[]"
-    assert loaded_after_spectrum == "True"
+    # spectrum loads LAPACK from its extension alone, not scipy.linalg (and
+    # with it scipy._lib), and a later import of scipy.linalg shares it
+    assert _printed_lines(_NO_SCIPY_SCRIPT, tmp_path) == [
+        f"sjj {__version__}", "[]", "['scipy.linalg._flapack']", "True"]
 
 
 _NO_NUMPY_SCRIPT = """
@@ -432,9 +438,49 @@ print("numpy" in sys.modules)
 
 
 def test_scalar_commands_never_import_numpy(tmp_path):
-    loaded_by_scalar_commands, loaded_after_ground = _last_two_lines(_NO_NUMPY_SCRIPT, tmp_path)
-    assert loaded_by_scalar_commands == "[]"
-    assert loaded_after_ground == "True"
+    assert _printed_lines(_NO_NUMPY_SCRIPT, tmp_path) == [f"sjj {__version__}", "[]", "True"]
+
+
+def test_warning_stderr_independent_of_install_path(tmp_path):
+    # the SJJ coupling-0 warning names no source path or line
+    stderr = []
+    for copy in ("a", "a-much-longer-directory-name"):
+        shutil.copytree(Path(cli.__file__).parent, tmp_path / copy / "sjj",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        done = subprocess.run(
+            [sys.executable, "-m", "sjj.cli", "spectrum", "--model", "sjj", "--n", "4",
+             "--grid", "0:1:0.5", "-o", str(tmp_path / f"{copy}.csv")],
+            capture_output=True, cwd=tmp_path, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(tmp_path / copy)},
+        )
+        assert done.returncode == 0, done.stderr
+        stderr.append(done.stderr)
+    assert stderr[0] == stderr[1] == (
+        b"sjj spectrum: warning: SJJ with coupling 0 is a formal limit: "
+        b"bright solitons require nonzero nonlinearity\n")
+
+
+def test_user_warnings_printed_once_other_warnings_untouched(tmp_path, monkeypatch, capsys):
+    solve = eigensolve.eigenvalues
+
+    def warn_and_solve(h):
+        warnings.warn("the same note", UserWarning)
+        return solve(h)
+
+    monkeypatch.setattr(eigensolve, "eigenvalues", warn_and_solve)
+    argv = ["spectrum", "--model", "bjj", "--n", "4", "--grid", "0:1:0.5",
+            "-o", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "sjj spectrum: warning: the same note\n"
+
+    def overflow_and_solve(h):
+        np.exp(np.float64(1e3))
+        return solve(h)
+
+    # the suite turns RuntimeWarning into an error, inside main too
+    monkeypatch.setattr(eigensolve, "eigenvalues", overflow_and_solve)
+    with pytest.raises(RuntimeWarning):
+        main(argv)
 
 
 @pytest.mark.parametrize("args", [

@@ -489,3 +489,73 @@ def test_ground_is_ground_state_of_built_chain(kind, n_total):
             ref_energy, ref = ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
         assert energy == ref_energy
         assert np.array_equal(state.amps, ref.amps)
+
+
+def _assert_lapack_matches_scipy(h):
+    # the levels and vectors are those of scipy's public wrappers on the
+    # same blocks, bit for bit: the same LAPACK routines, called directly
+    blocks = eigensolve._sectors(h) or [(h.diag, h.offdiag)]
+    levels = np.sort(np.concatenate([
+        scipy.linalg.eigvalsh_tridiagonal(*block, lapack_driver="sterf") for block in blocks]))
+    assert np.array_equal(eigenvalues(h), levels)
+    solved = [scipy.linalg.eigh_tridiagonal(*block, lapack_driver="stevd") for block in blocks]
+    spec = eigen_decompose(h)
+    if len(solved) == 1:
+        energies, vectors = solved[0]
+    else:
+        (even_e, even_v), (odd_e, odd_v) = solved
+        dim = len(h.diag)
+        energies = np.sort(np.concatenate((even_e, odd_e)))
+        vectors = np.empty((dim, dim))
+        vectors[:, 0::2] = eigensolve._unfold(even_v, dim, 1.0)
+        vectors[:, 1::2] = eigensolve._unfold(odd_v, dim, -1.0)
+    assert np.array_equal(spec.energies, energies)
+    assert np.array_equal(spec.vectors, eigensolve._fix_signs(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([SJJ, BJJ]),
+    n_total=st.integers(min_value=1, max_value=80),
+    coupling=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_lapack_routines_match_scipy_wrappers(kind, n_total, coupling):
+    _assert_lapack_matches_scipy(_built(kind, n_total, coupling))
+
+
+@pytest.mark.parametrize("kind", [SJJ, BJJ])
+@pytest.mark.parametrize("n_total", [1, 2])
+def test_lapack_routines_match_scipy_wrappers_on_1x1_blocks(kind, n_total):
+    # N = 1 splits into two 1 x 1 blocks, N = 2 has a 1 x 1 odd block
+    for coupling in (0.0, 0.5, 4.0):
+        _assert_lapack_matches_scipy(_built(kind, n_total, coupling))
+
+
+def test_lapack_routines_match_scipy_wrappers_on_whole_chain():
+    params = TwoModeParams(BJJ, 4, 1.0)
+    h = TridiagonalHamiltonian(diag=np.array([0.3, -1.0, 0.2, 0.5, -0.1]),
+                               offdiag=np.array([-0.4, -0.2, -0.7, -0.3]), params=params)
+    assert eigensolve._sectors(h) is None
+    _assert_lapack_matches_scipy(h)
+
+
+@pytest.mark.parametrize("routine, solve", [("dsterf", eigenvalues),
+                                            ("dstevd", eigen_decompose)])
+def test_lapack_info_raises_eigensolve_error(routine, solve, monkeypatch):
+    lapack = eigensolve._lapack()
+    call = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *args, **kw: (*call(*args, **kw)[:-1], 1))
+    with pytest.raises(eigensolve.EigensolveError, match=f"{routine} failed with info = 1"):
+        solve(build_hamiltonian(TwoModeParams(BJJ, 10, 1.0)))
+
+
+@pytest.mark.parametrize("solve", [eigenvalues, eigen_decompose, ground_state, energy_gap])
+@pytest.mark.parametrize("where, bad", [("diag", math.nan), ("offdiag", math.nan),
+                                        ("diag", math.inf), ("offdiag", -math.inf)])
+def test_non_finite_hamiltonian_rejected(solve, where, bad):
+    # LAPACK sterf would return finite levels for a NaN entry
+    h = build_hamiltonian(TwoModeParams(BJJ, 4, 1.0))
+    entries = {"diag": h.diag.copy(), "offdiag": h.offdiag.copy()}
+    entries[where][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        solve(TridiagonalHamiltonian(params=h.params, **entries))
