@@ -16,9 +16,8 @@ whose stationary points are the branches returned by
 * N00N+-: fully imbalanced pair S = +-1 on 0 < Lambda <= 1.58 with the
   phase-independent energy -Lambda/2.
 
-The shared quantity X = sqrt((Lambda - 1.58)/0.84) fixes both the S+-
-amplitudes and the cat-state overlap epsilon = X^N; it is defined once here
-so the two uses cannot drift apart.
+X^2 and S^2 share one width w = 2.42 - 1.58 (:func:`_branch_squares`); the
+coherent and cat states are built in log space from one binomial expansion.
 
 The branches and the overlap are closed-form scalars and need no numpy; the
 three functions that build Fock states import it when called.
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _mean_field_energy
 
 if TYPE_CHECKING:
     from .model import FockState
@@ -59,9 +58,15 @@ class HartreeSolution:
             raise ValueError("S must equal beta^2 - alpha^2")
 
 
-def _branch_x_squared(Lambda: float) -> float:
-    """X^2 = (Lambda - 1.58)/0.84, the squared component overlap per particle."""
-    return (Lambda - _LAMBDA_LO) / (_LAMBDA_HI - _LAMBDA_LO)
+def _branch_squares(Lambda: float) -> tuple[float, float]:
+    """(X^2, S^2) = ((Lambda - 1.58)/w, (2.42 - Lambda)/w), w = 2.42 - 1.58; on the
+    window both differences are exact, so S = 1 at 1.58 and 0 at 2.42."""
+    if not _LAMBDA_LO <= Lambda <= _LAMBDA_HI:
+        raise ValueError(
+            f"imbalanced branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
+        )
+    width = _LAMBDA_HI - _LAMBDA_LO
+    return (Lambda - _LAMBDA_LO) / width, (_LAMBDA_HI - Lambda) / width
 
 
 def stationary_solutions(Lambda: float) -> list[HartreeSolution]:
@@ -71,9 +76,10 @@ def stationary_solutions(Lambda: float) -> list[HartreeSolution]:
     r = 1.0 / math.sqrt(2.0)
     out = [HartreeSolution(s=0.0, alpha=r, beta=r, theta=0.0, energy=-1.0, branch="S0")]
     if _LAMBDA_LO <= Lambda < _LAMBDA_HI:
-        s = math.sqrt(1.0 - _branch_x_squared(Lambda))
+        x2, s2 = _branch_squares(Lambda)
+        s = math.sqrt(s2)
         hi = math.sqrt(0.5 * (1.0 + s))
-        lo = math.sqrt(0.5 * (1.0 - s))
+        lo = math.sqrt(x2) / (2.0 * hi)  # alpha beta = X/2, with no 1 - S to cancel
         e = 0.30 * Lambda**2 - 1.44 * Lambda + 0.74
         out.append(HartreeSolution(s=+s, alpha=lo, beta=hi, theta=0.0, energy=e, branch="S+"))
         out.append(HartreeSolution(s=-s, alpha=hi, beta=lo, theta=0.0, energy=e, branch="S-"))
@@ -88,14 +94,10 @@ def exact_branch_energy(Lambda: float) -> float:
     """Mean energy of the imbalanced branch without the quadratic fit.
 
     E/kappa*N = -(Lambda/2) S^2 - (1 - 0.21 S^2)(1 - S^2) evaluated at
-    S^2 = (2.42 - Lambda)/0.84.  Agrees with the fit used in
+    S^2 = (2.42 - Lambda)/(2.42 - 1.58).  Agrees with the fit used in
     :func:`stationary_solutions` to better than 0.02 over the branch domain.
     """
-    if not _LAMBDA_LO <= Lambda <= _LAMBDA_HI:
-        raise ValueError(
-            f"imbalanced branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
-        )
-    s2 = (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT)
+    _, s2 = _branch_squares(Lambda)
     return _mean_field_energy(s2, 1.0, Lambda)
 
 
@@ -105,76 +107,73 @@ def cat_overlap(Lambda: float, n_total: int) -> float:
     Computed in log space; eps = 0 at Lambda = 1.58 (orthogonal components,
     the N00N limit) and eps -> 1 at Lambda = 2.42 (indistinguishable).
     """
-    if not _LAMBDA_LO <= Lambda <= _LAMBDA_HI:
-        raise ValueError(
-            f"cat branch exists only for {_LAMBDA_LO} <= Lambda <= {_LAMBDA_HI}, got {Lambda}"
-        )
+    x2, _ = _branch_squares(Lambda)
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
     if n_total > sys.float_info.max:  # N enters the exponent as a float
         raise ValueError(f"n_total must be at most {sys.float_info.max:g}")
-    x2 = _branch_x_squared(Lambda)
     if x2 <= 0.0:
         return 0.0
     return math.exp(0.5 * n_total * math.log(x2))
 
 
-def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockState:
-    """Binomial Fock expansion A_n = sqrt(C(N, n)) alpha^(N-n) beta^n.
-
-    Combinatorics run through log n! so N = 300 and beyond stay finite;
-    the result is renormalized (raw norm must already be 1 within 1e-9).
-    """
+def _log_binomial_amplitudes(alpha: float, beta: float, n_total: int):
+    """n = 0..N and log|sqrt(C(N, n)) alpha^(N-n) beta^n|, with 0 log 0 = 0."""
     import numpy as np
 
     from .logspace import log_factorial
-    from .model import FockState
 
-    if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
-        raise ValueError("alpha^2 + beta^2 must equal 1")
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
     n = np.arange(n_total + 1)
     log_mag = 0.5 * (log_factorial(n_total) - log_factorial(n) - log_factorial(n_total - n))
-    # zero amplitude wherever a zero base carries a positive power
-    ok = np.ones(n_total + 1, dtype=bool)
-    if alpha == 0.0:
-        ok &= n == n_total
-    else:
-        log_mag = log_mag + (n_total - n) * math.log(abs(alpha))
-    if beta == 0.0:
-        ok &= n == 0
-    else:
-        log_mag = log_mag + n * math.log(abs(beta))
-    mag = np.zeros(n_total + 1)
-    mag[ok] = np.exp(log_mag[ok])
-    sign = np.sign(alpha) ** ((n_total - n) % 2) * np.sign(beta) ** (n % 2)
-    amps = mag * np.where(sign == 0, 1.0, sign)
-    norm = math.sqrt(float(np.sum(amps**2)))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"binomial expansion lost normalization: norm = {norm!r}")
-    return FockState((amps / norm).astype(complex))
+    for power, base in ((n_total - n, alpha), (n, beta)):
+        if base == 0.0:
+            log_mag = np.where(power > 0, -np.inf, log_mag)
+        else:
+            log_mag = log_mag + power * math.log(abs(base))
+    return n, log_mag
+
+
+def _normalized(sign, log_mag) -> FockState:
+    """The FockState of sign * exp(log_mag - max(log_mag)), divided by its norm."""
+    import numpy as np
+
+    from .model import FockState
+
+    amps = sign * np.exp(log_mag - np.max(log_mag))
+    return FockState(amps / math.sqrt(float(np.sum(amps**2))))
+
+
+def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockState:
+    """Binomial Fock expansion A_n = sqrt(C(N, n)) alpha^(N-n) beta^n, normalized."""
+    if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
+        raise ValueError("alpha^2 + beta^2 must equal 1")
+    n, log_mag = _log_binomial_amplitudes(alpha, beta, n_total)
+    return _normalized((-1.0) ** ((n_total - n) * (alpha < 0) + n * (beta < 0)), log_mag)
 
 
 def cat_state(Lambda: float, n_total: int, sign: int = +1) -> FockState:
-    """Superposition (|psi_+> +- |psi_->)/sqrt(2 (1 +- eps)) of the two
-    imbalanced-branch coherent states; defined for 1.58 <= Lambda < 2.42
-    (the '-' cat additionally needs eps < 1)."""
-    from .model import FockState
+    """Normalized |psi_+> +- |psi_-> of the S+- coherent states, 1.58 <= Lambda < 2.42,
+    built in log space: with d = |N - 2n|, amplitude n is the larger component times
+    1 +- e^(-d atanh S), negative for n < N/2 in the odd cat; a N00N state at 1.58."""
+    import numpy as np
 
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    sols = {sol.branch: sol for sol in stationary_solutions(Lambda)}
-    if "S+" not in sols:
+    plus = {sol.branch: sol for sol in stationary_solutions(Lambda)}.get("S+")
+    if plus is None:
         raise ValueError(f"cat components do not exist at Lambda = {Lambda}")
-    plus, minus = sols["S+"], sols["S-"]
-    eps = cat_overlap(Lambda, n_total)
-    norm2 = 2.0 * (1.0 + sign * eps)
-    if norm2 <= 0.0:
-        raise ValueError("indistinguishable components: the odd cat is degenerate")
-    a_plus = coherent_fock_amplitudes(plus.alpha, plus.beta, n_total).amps
-    a_minus = coherent_fock_amplitudes(minus.alpha, minus.beta, n_total).amps
-    return FockState((a_plus + sign * a_minus) / math.sqrt(norm2))
+    n, log_mag = _log_binomial_amplitudes(plus.alpha, plus.beta, n_total)
+    x2, _ = _branch_squares(Lambda)
+    # atanh S = log((1 + S)/(1 - S))/2 with 1 - S = X^2/(1 + S), which does not cancel
+    r = math.inf if x2 == 0.0 else 0.5 * math.log1p(2.0 * plus.s * (1.0 + plus.s) / x2)
+    d = np.abs(n_total - 2 * n)
+    dr = np.multiply(d, r, out=np.zeros(len(d)), where=d > 0)  # 0, not 0 inf, at d = 0
+    with np.errstate(divide="ignore"):  # the odd cat is exactly 0 at n = N/2
+        factor = np.log1p(np.exp(-dr)) if sign > 0 else np.log(-np.expm1(-dr))
+    signs = np.where((sign < 0) & (2 * n < n_total), -1.0, 1.0)
+    return _normalized(signs, log_mag[np.maximum(n, n_total - n)] + factor)
 
 
 def noon_state(n_total: int, phase: float = 0.0) -> FockState:

@@ -84,6 +84,13 @@ class TwoModeParams:
             )
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of values, so no caller can write into a value class."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TridiagonalHamiltonian:
     """Symmetric tridiagonal Hamiltonian in units of kappa*N.
@@ -92,7 +99,8 @@ class TridiagonalHamiltonian:
     coupling n and n+1.  All off-diagonal entries are <= 0, which makes the
     matrix an irreducible chain with a sign-definite ground vector for N >= 2.
     Every entry must be finite: the LAPACK routines behind the eigensolvers
-    do not check, and return finite levels for a NaN entry.
+    do not check, and return finite levels for a NaN entry.  Both arrays are
+    stored as read-only copies, so the check cannot be undone afterwards.
     """
 
     diag: np.ndarray
@@ -100,6 +108,8 @@ class TridiagonalHamiltonian:
     params: TwoModeParams
 
     def __post_init__(self):
+        for name in ("diag", "offdiag"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
         if len(self.diag) != self.params.n_total + 1:
             raise ValueError("diag must have length n_total + 1")
         if len(self.offdiag) != self.params.n_total:
@@ -114,17 +124,17 @@ class TridiagonalHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Normalized two-mode state: amps[n] multiplies |N-n>_a |n>_b."""
+    """Normalized two-mode state: amps[n] multiplies |N-n>_a |n>_b, stored as
+    a read-only copy."""
 
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=complex)
+        amps = _read_only(self.amps, complex)
         norm2 = float(np.sum(np.abs(amps) ** 2))
         # written so that a NaN norm fails it too
         if not abs(norm2 - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes not normalized: sum |A_n|^2 = {norm2!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     @property

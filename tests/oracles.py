@@ -5,8 +5,9 @@ library code it checks: dense cyclic Jacobi rotations for the tridiagonal
 eigensolver, extended-precision Sturm bisection and recurrence for the
 ground-state tails, explicit fixed-step integration for the spectral propagator,
 dense ladder-operator matrices for the moment-based witnesses, term-by-term
-extended-precision products for the loss branches, and scipy's adaptive
-integrators for the mean-field flow and the overlap quadrature.
+extended-precision products for the loss branches and the Hartree cat
+states, and scipy's adaptive integrators for the mean-field flow and the
+overlap quadrature.
 """
 
 from __future__ import annotations
@@ -276,3 +277,29 @@ def mp_loss_rows(amps: np.ndarray, eta_a: float, eta_b: float, dps: int = 40) ->
                     wb = mpmath.binomial(n, lb) * eb ** (n - lb) * (1 - eb) ** lb
                     rows[la, lb, n] = float(p * wa * wb)
     return rows
+
+
+def mp_cat_amplitudes(Lambda: float, n_total: int, sign: int, dps: int = 80) -> np.ndarray:
+    """Amplitudes of the Hartree cat state |psi_+> + sign |psi_->, normalized.
+
+    Term by term in mpmath, with no logarithms: S^2 = (2.42 - Lambda)/(2.42 - 1.58)
+    from the double-precision window ends, alpha, beta = sqrt((1 -+ S)/2) and
+    A_n = sqrt(C(N, n)) (alpha^(N-n) beta^n + sign beta^(N-n) alpha^n), divided
+    by the root of the sum of squares.  The difference of the odd cat cancels
+    to about log10(1/S) digits, far fewer than the 80 carried.
+    """
+    import mpmath
+
+    from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO
+
+    with mpmath.workdps(dps):
+        hi, lo = mpmath.mpf(_LAMBDA_HI), mpmath.mpf(_LAMBDA_LO)
+        s = mpmath.sqrt((hi - mpmath.mpf(Lambda)) / (hi - lo))
+        alpha, beta = mpmath.sqrt((1 - s) / 2), mpmath.sqrt((1 + s) / 2)
+        amps = [
+            mpmath.sqrt(mpmath.binomial(n_total, n))
+            * (alpha ** (n_total - n) * beta**n + sign * beta ** (n_total - n) * alpha**n)
+            for n in range(n_total + 1)
+        ]
+        norm = mpmath.sqrt(mpmath.fsum(a * a for a in amps))
+        return np.array([float(a / norm) for a in amps])

@@ -20,6 +20,7 @@ from sjj import (
     steady_states,
 )
 from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
+from oracles import mp_cat_amplitudes
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -173,7 +174,7 @@ def test_hartree_limit_of_quantum_energy(n_total):
 def test_exact_branch_energy_is_mean_field_energy():
     for Lambda in np.linspace(1.58, 2.42, 43):
         Lambda = float(Lambda)
-        s2 = (2.42 - Lambda) / 0.84
+        s2 = (2.42 - Lambda) / (2.42 - 1.58)
         assert exact_branch_energy(Lambda) == _mean_field_energy(s2, 1.0, Lambda)
 
 
@@ -198,7 +199,7 @@ def _check_window(Lambda, n_total):
     # each is finite, >= 0 and equal to its clamped form
     x2 = (Lambda - _LAMBDA_LO) / (_LAMBDA_HI - _LAMBDA_LO)
     assert 0.0 <= x2 <= 1.0
-    s2 = (_LAMBDA_HI - Lambda) / (4.0 * _OVERLAP_FIT)
+    s2 = (_LAMBDA_HI - Lambda) / (_LAMBDA_HI - _LAMBDA_LO)
     assert 0.0 <= s2 < math.inf
     energy = exact_branch_energy(Lambda)
     assert math.isfinite(energy)
@@ -208,7 +209,7 @@ def _check_window(Lambda, n_total):
     assert eps == (0.0 if x2 <= 0.0 else min(1.0, math.exp(0.5 * n_total * math.log(x2))))
     if Lambda < _LAMBDA_HI:
         s = branches(Lambda)["S+"].s
-        assert math.isfinite(s) and s == math.sqrt(max(0.0, 1.0 - max(0.0, x2)))
+        assert math.isfinite(s) and s == math.sqrt(max(0.0, s2))
     if Lambda > _LAMBDA_LO:
         z2 = (1.0 + _OVERLAP_FIT - Lambda / 2.0) / (2.0 * _OVERLAP_FIT)
         assert z2 >= 0.0
@@ -230,3 +231,65 @@ def test_window_edges_need_no_clamp(Lambda, n_total):
        n_total=st.integers(min_value=1, max_value=10**300))
 def test_window_formulas_need_no_clamp(Lambda, n_total):
     _check_window(Lambda, n_total)
+
+
+def _check_cat_against_mpmath(Lambda, n_total, sign):
+    # every amplitude above 1e-300 within 1e-14 (N+1) relative; exact zeros stay zero
+    amps = cat_state(Lambda, n_total, sign).amps
+    ref = mp_cat_amplitudes(Lambda, n_total, sign)
+    assert np.all(amps.imag == 0.0)
+    assert np.all(amps.real[ref == 0.0] == 0.0)
+    big = np.abs(ref) > 1e-300
+    rel = np.abs(amps.real[big] - ref[big]) / np.abs(ref[big])
+    assert np.max(rel) <= 1e-14 * (n_total + 1)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("Lambda, n_total", [
+    # near 2.42 the two components nearly coincide, so the odd cat is a small
+    # difference of large terms; at 1.58 + 1e-12, atanh S is near its pole
+    (2.42 - 1e-6, 1), (2.42 - 1e-6, 10), (2.42 - 1e-8, 300), (2.42 - 1e-4, 1),
+    (math.nextafter(_LAMBDA_HI, 0.0), 1), (math.nextafter(_LAMBDA_HI, 0.0), 300),
+    (_LAMBDA_LO, 57), (1.58 + 1e-12, 57), (2.0, 300),
+])
+def test_cat_state_matches_mpmath(Lambda, n_total, sign):
+    _check_cat_against_mpmath(Lambda, n_total, sign)
+
+
+@settings(max_examples=100, deadline=None)
+@given(Lambda=st.floats(min_value=_LAMBDA_LO, max_value=_LAMBDA_HI, exclude_max=True),
+       n_total=st.integers(min_value=1, max_value=400),
+       sign=st.sampled_from([+1, -1]))
+def test_cat_state_matches_mpmath_on_the_window(Lambda, n_total, sign):
+    _check_cat_against_mpmath(Lambda, n_total, sign)
+
+
+@pytest.mark.parametrize("n_total", [1, 2, 7, 300])
+def test_cats_at_window_start_are_noon_states(n_total):
+    # S = 1 exactly at 1.58, so the components are |N,0> and |0,N>
+    assert np.array_equal(cat_state(_LAMBDA_LO, n_total, +1).amps, noon_state(n_total).amps)
+    odd = cat_state(_LAMBDA_LO, n_total, -1).amps
+    assert np.allclose(odd, -noon_state(n_total, phase=math.pi).amps, rtol=0.0, atol=1e-16)
+    assert odd[0] == -R2 and odd[-1] == R2
+
+
+@pytest.mark.parametrize("Lambda", [1.58 + 1e-12, 2.0, 2.42 - 1e-12])
+def test_branch_amplitudes_match_mpmath(Lambda):
+    # S, alpha and beta come from S^2 and X^2 directly, never from 1 -+ S
+    import mpmath
+
+    plus = branches(Lambda)["S+"]
+    with mpmath.workdps(50):
+        hi, lo = mpmath.mpf(_LAMBDA_HI), mpmath.mpf(_LAMBDA_LO)
+        s = mpmath.sqrt((hi - mpmath.mpf(Lambda)) / (hi - lo))
+        ref = {"s": s, "alpha": mpmath.sqrt((1 - s) / 2), "beta": mpmath.sqrt((1 + s) / 2)}
+        for name, value in ref.items():
+            assert abs(getattr(plus, name) - value) <= 1e-15 * value, name
+
+
+def test_branch_ends_are_exact():
+    assert branches(_LAMBDA_LO)["S+"].s == 1.0
+    assert branches(_LAMBDA_LO)["S+"].alpha == 0.0
+    # the closed form cos(pi/8), sin(pi/8) at Lambda = 2, both correctly rounded
+    assert (branches(2.0)["S+"].alpha, branches(2.0)["S+"].beta) == (0.3826834323650898,
+                                                                    0.9238795325112867)

@@ -10,6 +10,8 @@ from sjj import (
     TwoModeParams,
     apply_hamiltonian,
     build_hamiltonian,
+    eigenvalues,
+    energy_gap,
 )
 from sjj import model
 
@@ -164,3 +166,25 @@ def test_hamiltonian_shape_validation():
         TridiagonalHamiltonian(diag=np.zeros(3), offdiag=np.zeros(3), params=params)
     with pytest.raises(ValueError):
         TridiagonalHamiltonian(diag=np.zeros(4), offdiag=np.zeros(4), params=params)
+
+
+def test_hamiltonian_arrays_cannot_be_changed_after_the_finite_check():
+    diag, offdiag = np.zeros(4), -np.ones(3)
+    h = TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=TwoModeParams(BJJ, 3, 1.0))
+    gap = energy_gap(h)
+    with pytest.raises(ValueError, match="read-only"):
+        h.diag[1] = math.nan
+    with pytest.raises(ValueError, match="read-only"):
+        h.offdiag[0] = math.nan
+    diag[1] = offdiag[0] = math.nan  # the caller's arrays were copied
+    assert energy_gap(h) == gap
+    assert np.all(np.isfinite(eigenvalues(h)))
+
+
+def test_fock_state_leaves_the_callers_array_writeable():
+    amps = np.array([1, 0, 0], dtype=complex)
+    state = FockState(amps)
+    amps[1] = 5
+    assert list(state.amps) == [1, 0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        state.amps[1] = 5
