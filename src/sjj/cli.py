@@ -20,13 +20,15 @@ Output is data only (CSV or JSON; no plotting).  Every CSV starts with a
 floats are printed with 12 significant digits so identical configurations
 produce byte-identical files.  A JSON config file (--config) supplies
 defaults for any flag (keys are flag names with '-' replaced by '_');
-explicit flags win over the config file, which wins over built-ins.  A
-config value gets the checks of its flag (type, choices; an integer for a
-number flag must convert to a float), so a bad one is a usage error naming
-the key and the file.  Every flag is declared once, in
-_SPEC.  A --grid may have at most 100,000 points (_MAX_GRID_POINTS); a
-larger one is a usage error.  Sweeps evaluate their grid points in order on
-one thread; --threads (and config 'threads') is still accepted and must be a
+explicit flags win over the config file, which wins over built-ins.  Every
+flag is declared once, in _SPEC; _resolve stores each value as its flag's
+type, so a value echoes alike from a flag or the file.  A config value its
+flag does not admit (type, choices; an integer for a number flag must
+convert to a float), or a key that is no flag of any command, is a usage
+error naming the key and the file.  A --grid (start:stop:step, at most
+100,000 points: _MAX_GRID_POINTS) is read once, before any solve; a bad one
+is a usage error.  Sweeps evaluate their grid points in order on one
+thread; --threads (and config 'threads') is still accepted and must be a
 positive integer, but has no effect.  The traced `losses` table leaves out
 rows whose joint probability is below _ROW_FLOOR = 1e-100 (not a flag):
 they carry 5.7e-98 together at the README configuration, and --p-min still
@@ -84,6 +86,10 @@ EXIT_BROKEN_PIPE = 141
 _DOMAIN_ERRORS = (ValueError,)
 
 
+class _UsageError(ValueError):
+    """A bad command line or config file: exit 2 with the parser's usage line."""
+
+
 def _numerical_errors() -> tuple[type[Exception], ...]:
     """The numerical failures, imported only when an exception gets past the
     domain errors in main: a command that never loads the solvers does not
@@ -105,14 +111,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
-        raise ValueError(f"grid must be start:stop:step, got {spec!r}") from None
+        raise _UsageError(f"grid must be start:stop:step, got {spec!r}") from None
     if step <= 0:
-        raise ValueError(f"grid step must be > 0, got {step}")
+        raise _UsageError(f"grid step must be > 0, got {step}")
     if start > stop:
-        raise ValueError(f"grid start must be <= stop, got {spec!r}")
+        raise _UsageError(f"grid start must be <= stop, got {spec!r}")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_POINTS:  # also catches an infinite or NaN span
-        raise ValueError(f"grid must have at most {_MAX_GRID_POINTS} points, got {spec!r}")
+        raise _UsageError(f"grid must have at most {_MAX_GRID_POINTS} points, got {spec!r}")
     return start + step * np.arange(int(math.floor(span)) + 1)
 
 
@@ -237,9 +243,9 @@ def _cmd_spectrum(resolved: dict) -> None:
     from .eigensolve import eigenvalues
     from .model import ModelKind, TwoModeParams, build_hamiltonian
 
-    kind = ModelKind(resolved["model"])
-    n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
+    kind = ModelKind(resolved["model"])
+    n = resolved["n"]
     energies = [eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(c)))) for c in grid]
     _emit_table("spectrum", resolved, ["coupling", "k", "energy"], [
         np.repeat(grid, n + 1),
@@ -254,7 +260,7 @@ def _cmd_ground(resolved: dict) -> None:
     from .eigensolve import ground
     from .model import ModelKind
 
-    _, state = ground(ModelKind(resolved["model"]), int(resolved["n"]), float(resolved["coupling"]))
+    _, state = ground(ModelKind(resolved["model"]), resolved["n"], resolved["coupling"])
     _emit_table("ground", resolved, ["n", "prob", "amp"], [
         np.arange(state.n_total + 1),
         state.probabilities,
@@ -269,9 +275,9 @@ def _cmd_hz(resolved: dict) -> None:
     from .model import ModelKind
     from .observables import hz_criterion, planar_squeezing, refine_minimum
 
-    kind = ModelKind(resolved["model"])
-    n = int(resolved["n"])
     grid = _parse_grid(resolved["grid"])
+    kind = ModelKind(resolved["model"])
+    n = resolved["n"]
 
     # couplings are keyed at 1e-12 resolution so refinement levels cannot
     # produce near-duplicate rows that collide at the printed precision
@@ -288,7 +294,7 @@ def _cmd_hz(resolved: dict) -> None:
 
     # checks refine_to and the grid, then scans it; an infinite floor refines nothing
     refine_minimum(hz1_cached, grid,
-                   refine_to=float(resolved["refine_to"]) if resolved["refine"] else math.inf)
+                   refine_to=resolved["refine_to"] if resolved["refine"] else math.inf)
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
                 list(np.array([rows[c] for c in sorted(rows)]).T))
@@ -297,13 +303,9 @@ def _cmd_hz(resolved: dict) -> None:
 def _cmd_meanfield(resolved: dict) -> None:
     from .meanfield import MeanFieldState, integrate
 
-    s0 = MeanFieldState(z=float(resolved["z0"]), theta=float(resolved["theta0"]))
-    traj = integrate(
-        s0,
-        Lambda=float(resolved["coupling"]),
-        tau_max=float(resolved["tau_max"]),
-        dtau=float(resolved["dtau"]),
-    )
+    s0 = MeanFieldState(z=resolved["z0"], theta=resolved["theta0"])
+    traj = integrate(s0, Lambda=resolved["coupling"], tau_max=resolved["tau_max"],
+                     dtau=resolved["dtau"])
     _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], [
         traj.times,
         traj.z,
@@ -329,19 +331,19 @@ def _cmd_losses(resolved: dict) -> None:
     la, lb = resolved["la"], resolved["lb"]
     if (la is None) != (lb is None):
         raise _UsageError("--la and --lb must be given together")
-    _, state = ground(ModelKind(resolved["model"]), int(resolved["n"]), float(resolved["coupling"]))
-    ch = LossChannel(eta_a=float(resolved["eta_a"]), eta_b=float(resolved["eta_b"]))
+    _, state = ground(ModelKind(resolved["model"]), resolved["n"], resolved["coupling"])
+    ch = LossChannel(eta_a=resolved["eta_a"], eta_b=resolved["eta_b"])
 
     if la is not None:
-        branch = conditional_state(state, int(la), int(lb), ch)
+        branch = conditional_state(state, la, lb, ch)
         probs = branch.state.probabilities
         nonzero = np.flatnonzero(probs > 0.0)
         resolved = {**resolved, "branch_probability": float(branch.probability)}
         _emit_table("losses", resolved, ["n", "prob"],
-                    [nonzero + int(lb), probs[nonzero]])
+                    [nonzero + lb, probs[nonzero]])
         return
 
-    rows = traced_mixture(state, ch, p_min=float(resolved["p_min"]), row_min=_ROW_FLOOR)
+    rows = traced_mixture(state, ch, p_min=resolved["p_min"], row_min=_ROW_FLOOR)
     _emit_table("losses", resolved, ["la", "lb", "n", "prob"], rows)
 
 
@@ -349,7 +351,7 @@ def _cmd_hartree(resolved: dict) -> None:
     from .hartree import cat_overlap, exact_branch_energy, stationary_solutions
     from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO
 
-    coupling = float(resolved["coupling"])
+    coupling = resolved["coupling"]
     branches = [
         {
             "branch": sol.branch,
@@ -364,8 +366,8 @@ def _cmd_hartree(resolved: dict) -> None:
     payload: dict = {"coupling": coupling, "branches": branches}
     if _LAMBDA_LO <= coupling <= _LAMBDA_HI:
         payload["exact_branch_energy"] = exact_branch_energy(coupling)
-        if resolved.get("n") is not None:
-            payload["cat_overlap"] = cat_overlap(coupling, int(resolved["n"]))
+        if resolved["n"] is not None:
+            payload["cat_overlap"] = cat_overlap(coupling, resolved["n"])
     _emit_object("hartree", resolved, payload)
 
 
@@ -373,13 +375,8 @@ def _cmd_crossover(resolved: dict) -> None:
     from .model import ModelKind
     from .observables import crossover_coupling
 
-    kind = ModelKind(resolved["model"])
-    value = crossover_coupling(
-        kind,
-        int(resolved["n"]),
-        criterion=resolved["criterion"],
-        tol=float(resolved["tol"]),
-    )
+    value = crossover_coupling(ModelKind(resolved["model"]), resolved["n"],
+                               criterion=resolved["criterion"], tol=resolved["tol"])
     _emit_object("crossover", resolved, {"coupling_critical": value})
 
 
@@ -394,22 +391,22 @@ def _cmd_physical(resolved: dict) -> None:
         wp_coefficient,
     )
 
-    mass = float(resolved["mass"]) if resolved.get("mass") is not None else atomic_mass(resolved["species"])
+    mass = resolved["mass"] if resolved["mass"] is not None else atomic_mass(resolved["species"])
     tp = TrapParams(
-        a_sc=float(resolved["a_sc"]),
-        omega_x=float(resolved["omega_x"]),
-        omega_perp=float(resolved["omega_perp"]),
-        tunnel_rate=2.0 * math.pi * float(resolved["kappa_hz"]),
-        n_atoms=int(resolved["n"]),
+        a_sc=resolved["a_sc"],
+        omega_x=resolved["omega_x"],
+        omega_perp=resolved["omega_perp"],
+        tunnel_rate=2.0 * math.pi * resolved["kappa_hz"],
+        n_atoms=resolved["n"],
         mass=mass,
-        a_perp=float(resolved["a_perp"]) if resolved.get("a_perp") is not None else None,
+        a_perp=resolved["a_perp"],
     )
     u = nonlinearity_u(tp)
     lam = coupling_lambda(tp)
     Lam = coupling_Lambda(tp)
     wp = wp_coefficient(tp) if tp.nu > 0 else None
     payload = {
-        "species": resolved.get("species"),
+        "species": resolved["species"],
         "mass_kg": mass,
         "a_perp": tp.a_perp_eff,
         "nu": tp.nu,
@@ -499,9 +496,6 @@ def _option(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-class _UsageError(Exception):
-    """A bad command line or config file: exit 2 with the parser's usage line."""
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -522,24 +516,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _accepts(flag: _Flag, value) -> bool:
-    """Whether `value` is one the flag admits: true/false for a switch, else a
-    JSON value of the flag's type or a string that parses as one."""
-    if flag.type is bool or isinstance(value, bool):
-        return flag.type is bool and isinstance(value, bool)
-    if isinstance(value, str):
-        try:
-            value = flag.type(value)
-        except ValueError:
-            return False
-    if not isinstance(value, (int, float) if flag.type is float else flag.type):
-        return False
-    if flag.type is float and isinstance(value, int):
-        try:
-            float(value)  # an integer beyond the float range is no number
-        except OverflowError:
-            return False
-    return (flag.choices is None or value in flag.choices) and not (flag.positive and value < 1)
+def _typed(flag: _Flag, value):
+    """`value` converted to the flag's type, or ValueError if the flag does
+    not admit it: true/false for a switch, else a JSON value of the flag's
+    type (an integer for a number) or a string that parses as one."""
+    admitted = (int, float) if flag.type is float else (flag.type,)
+    if (flag.type is bool) != isinstance(value, bool) or not isinstance(value, (str, *admitted)):
+        raise ValueError
+    try:
+        value = flag.type(value)
+    except OverflowError:  # an integer beyond the float range is no number
+        raise ValueError from None
+    if (flag.choices is not None and value not in flag.choices) or (flag.positive and value < 1):
+        raise ValueError
+    return value
 
 
 def _expected(flag: _Flag) -> str:
@@ -553,7 +543,8 @@ def _expected(flag: _Flag) -> str:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Built-in defaults, overridden by the config file, overridden by flags;
-    every value the file or a flag supplies is checked against its flag."""
+    every value the file or a flag supplies is stored as its flag's type.  A
+    file key that no command has a flag for is an error."""
     flags = _flags(command)
     resolved = {key: flag.default for key, flag in flags.items()}
     supplied = []
@@ -565,22 +556,21 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise _UsageError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
+        for key in file_cfg:
+            if not any(key in _flags(other) for other in _SPEC):
+                raise _UsageError(f"'{key}' in config file {args.config} is no flag of any command")
         supplied += [(key, value, f"'{key}' in config file {args.config}")
                      for key, value in file_cfg.items() if key in flags and value is not None]
     supplied += [(key, getattr(args, key), _option(key))
                  for key in flags if getattr(args, key) is not None]
     for key, value, source in supplied:
-        if not _accepts(flags[key], value):
-            raise _UsageError(f"{source} must be {_expected(flags[key])}, got {value!r}")
-        resolved[key] = value
+        try:
+            resolved[key] = _typed(flags[key], value)
+        except ValueError:
+            raise _UsageError(f"{source} must be {_expected(flags[key])}, got {value!r}") from None
     missing = [_option(k) for k, flag in flags.items() if flag.required and resolved[k] is None]
     if missing:
         raise _UsageError(f"missing required option(s): {', '.join(missing)}")
-    if "grid" in resolved:
-        try:
-            _parse_grid(resolved["grid"])
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
     return resolved
 
 

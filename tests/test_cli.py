@@ -15,6 +15,7 @@ import pytest
 
 from sjj import __version__, cli, eigensolve, ground_state, losses
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
+from test_readme_outputs import COMMANDS as README_COMMANDS
 
 
 def run(tmp_path, name, argv):
@@ -473,6 +474,16 @@ def test_user_warnings_printed_once_other_warnings_untouched(tmp_path, monkeypat
     assert main(argv) == 0
     assert capsys.readouterr().err == "sjj spectrum: warning: the same note\n"
 
+    def future_and_solve(h):
+        warnings.warn("a later change", FutureWarning)
+        return solve(h)
+
+    # any other category reaches the showwarning that was in place
+    monkeypatch.setattr(eigensolve, "eigenvalues", future_and_solve)
+    with pytest.warns(FutureWarning, match="a later change"):
+        assert main(argv) == 0
+    assert "sjj spectrum: warning" not in capsys.readouterr().err
+
     def overflow_and_solve(h):
         np.exp(np.float64(1e3))
         return solve(h)
@@ -587,6 +598,8 @@ def test_benchmark_invocations_parse(seed, tmp_path):
             args = cli._build_parser().parse_args(invocation.argv(str(tmp_path)))
             resolved = cli._resolve(args.command, args)
             assert resolved["output"] == str(tmp_path / invocation.output)
+            if "grid" in resolved:
+                _parse_grid(resolved["grid"])
 
 
 @pytest.mark.parametrize("text, message", [
@@ -605,15 +618,90 @@ def test_unusable_config_file_is_usage_error(text, message, tmp_path, capsys):
 
 
 def test_valid_config_values_echo_as_given(tmp_path):
+    # each value echoes as its flag's type, as the same run given as flags does
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "bjj", "n": "6", "grid": "0:1:0.5", "refine": False,
                                "refine_to": 1, "threads": 3}))
     rc, f = run(tmp_path, "hz.csv", ["hz", "--config", str(cfg)])
     assert rc == 0
-    meta = json.loads(f.read_text().splitlines()[0].split(" ", 3)[3])
-    assert meta == {"command": "hz", "model": "bjj", "n": "6", "grid": "0:1:0.5",
-                    "refine": False, "refine_to": 1, "format": "csv"}
+    comment = f.read_text().splitlines()[0]
+    meta = json.loads(comment.split(" ", 3)[3])
+    assert meta == {"command": "hz", "model": "bjj", "n": 6, "grid": "0:1:0.5",
+                    "refine": False, "refine_to": 1.0, "format": "csv"}
+    assert type(meta["refine_to"]) is float
     assert len(f.read_text().splitlines()) == 2 + 3  # no refinement rows
+    rc, flags = run(tmp_path, "flags.csv", ["hz", "--model", "bjj", "--n", "6", "--grid", "0:1:0.5",
+                                            "--no-refine", "--refine-to", "1", "--threads", "3"])
+    assert rc == 0
+    assert flags.read_text().splitlines()[0] == comment
+
+
+def _json_or_text(text: str):
+    """The JSON value a flag's text reads as (300, 4, 1e-3), else the text."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+TABLES = ("spectrum", "ground", "hz", "meanfield", "losses")
+FLAG_FORMS = [[*argv[:argv.index("-o")], *argv[argv.index("-o") + 2:]] for argv in README_COMMANDS]
+FLAG_FORMS += [[*argv, "--format", "json"] for argv in FLAG_FORMS if argv[0] in TABLES]
+
+
+@pytest.mark.parametrize("argv", FLAG_FORMS, ids=" ".join)
+def test_config_file_writes_the_bytes_of_the_flags(argv, tmp_path):
+    # the same values from a config file, as JSON values and as the flag
+    # texts, resolve to the same typed configuration and write the same bytes
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    assert len(argv) % 2 == 1 and all(option.startswith("--") for option in pairs)
+    rc, expected = run(tmp_path, "flags", argv)
+    assert rc == 0
+    for form, decode in (("json", _json_or_text), ("text", str)):
+        cfg = tmp_path / f"{form}.json"
+        cfg.write_text(json.dumps({option[2:].replace("-", "_"): decode(text)
+                                   for option, text in pairs.items()}))
+        rc, out = run(tmp_path, form, [argv[0], "--config", str(cfg)])
+        assert rc == 0, form
+        assert out.read_bytes() == expected.read_bytes(), form
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["hz", "--model", "sjj", "--n", "4", "--grid", "0.5:1:0.5"], {"refine_to": "inf"},
+     "refine_to"),
+    (["crossover", "--model", "sjj", "--n", "10"], {"tol": "inf"}, "config.tol"),
+])
+def test_non_finite_config_value_is_domain_error(argv, cfg, key, tmp_path, capsys):
+    # a config "inf" is the float its flag reads, so it fails as --refine-to inf does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "-o", str(out)]) == 3
+    assert f"sjj {argv[0]}: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_of_no_command_is_usage_error(tmp_path, capsys):
+    # a misspelt key would otherwise leave the default tau_max and dtau in place
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tau_mx": 1, "dtua": 0.5}))
+    out = tmp_path / "mf.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["meanfield", "--coupling", "4", "--config", str(path), "-o", str(out)])
+    assert exc.value.code == 2
+    assert f"'tau_mx' in config file {path} is no flag of any command" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_is_accepted(tmp_path):
+    # one file may serve several commands; each reads its own flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "sjj", "n": 10, "coupling": 1, "grid": "0:1:0.5",
+                                "tau_max": 3, "criterion": "edge"}))
+    rc, out = run(tmp_path, "g.csv", ["ground", "--config", str(path)])
+    assert rc == 0
+    _, expected = run(tmp_path, "flags.csv", GROUND)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("half", [["--la", "1"], ["--lb", "0"]])
@@ -665,8 +753,8 @@ def test_closed_stdout_pipe_exits_141_silently():
         assert child.stdout.readline().startswith(b"# sjj ")
         child.stdout.close()
         err = child.stderr.read()
-    assert child.returncode == cli.EXIT_BROKEN_PIPE == 141
-    assert err == b""
+    # one assertion, so that a failure shows both
+    assert (child.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"") == (141, b"")
 
 
 def test_float_formatting(tmp_path):

@@ -226,6 +226,17 @@ def test_ground_state_rebuild_disagreement_raises(monkeypatch):
         ground_state(build_hamiltonian(TwoModeParams(SJJ, 40, 1.0)))
 
 
+def test_even_ground_vector_rejects_an_excited_energy():
+    # at the second even level the recurrence changes sign; without the
+    # guard the logs of the ratios would give a NaN vector
+    h = build_hamiltonian(TwoModeParams(SJJ, 30, 1.0))
+    even, _ = eigensolve._sectors(h)
+    peak = eigensolve._twist_index(*even, eigensolve._sturm_eigenvalue(*even, 0), 0.5)
+    excited = eigensolve._sturm_eigenvalue(*even, 1)
+    with pytest.raises(eigensolve.EigensolveError, match="nonpositive ratio"):
+        eigensolve._even_ground_vector(h.diag, h.offdiag, excited, peak)
+
+
 @pytest.mark.parametrize("kind", [SJJ, BJJ])
 def test_ground_state_n1(kind):
     h = build_hamiltonian(TwoModeParams(kind, 1, 1.3))

@@ -89,6 +89,7 @@ def test_offdiag_coupling_independent(kind):
 def test_offdiag_sign(kind, n_total):
     h = build_hamiltonian(TwoModeParams(kind, n_total, 1.5))
     assert np.all(h.offdiag < 0.0)
+    assert h.n_total == n_total
 
 
 def test_sjj_n1_offdiag_vanishes():
