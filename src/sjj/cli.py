@@ -28,8 +28,10 @@ convert to a float), or a key that is no flag of any command, is a usage
 error naming the key and the file.  A --grid (start:stop:step, at most
 100,000 points: _MAX_GRID_POINTS) is read once, before any solve; a bad one
 is a usage error.  Sweeps evaluate their grid points in order on one
-thread; --threads (and config 'threads') is still accepted and must be a
-positive integer, but has no effect.  The traced `losses` table leaves out
+thread; spectrum and hz still parse a --threads N, unlisted in --help and
+never read.  A negative number in e-notation takes the --flag=value form
+(--z0=-5e-1): argparse reads a separate -5e-1 as an option, where it reads
+-0.5 as a number.  The traced `losses` table leaves out
 rows whose joint probability is below _ROW_FLOOR = 1e-100 (not a flag):
 they carry 5.7e-98 together at the README configuration, and --p-min still
 selects whole branches by their probability.  JSON payload keys are
@@ -51,9 +53,10 @@ output (RFC 8259) never holds NaN or Infinity: a non-finite value to be
 written, also one echoed from the configuration, is a domain error naming
 its key.
 
-Exit codes: 0 success, 2 usage error, 3 domain error or empty result,
-4 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE, as a
-shell reports for coreutils; nothing is printed).  A UserWarning that a
+Exit codes: 0 success, 2 usage error, 3 domain error or a --la/--lb branch
+of probability 0, 4 numerical failure, 141 stdout closed by its reader (128
++ SIGPIPE, as a shell reports for coreutils; nothing is printed).  A traced
+losses table that no branch reaches exits 0 with no row.  A UserWarning that a
 command raises (SJJ at coupling 0) is printed once per distinct message as
 'sjj <command>: warning: <message>', without the source path and line a
 Python warning quotes, so stderr does not depend on where sjj is installed.
@@ -97,7 +100,7 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
     from .eigensolve import EigensolveError
     from .meanfield import MeanFieldIntegrationError
 
-    return (EigensolveError, MeanFieldIntegrationError, FloatingPointError)
+    return (EigensolveError, MeanFieldIntegrationError)
 
 
 # about 500 times the largest grid in the README or the benchmark (201 points)
@@ -142,10 +145,9 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
 
 
 def _echoable(resolved: dict) -> dict:
-    # the output path does not affect the computed numbers and threads has
-    # no effect: leaving them out keeps identical configurations
-    # byte-identical across target files and thread counts
-    return {k: v for k, v in resolved.items() if k not in ("output", "threads")}
+    # the output path does not affect the computed numbers: leaving it out
+    # keeps identical configurations byte-identical across target files
+    return {k: v for k, v in resolved.items() if k != "output"}
 
 
 def _non_finite_key(obj, key: str = "") -> str | None:
@@ -428,14 +430,13 @@ def _cmd_physical(resolved: dict) -> None:
 
 class _Flag(NamedTuple):
     """One flag of one command.  A bool type declares a --name/--no-name pair;
-    a required flag has no built-in default.  `positive` is for counts."""
+    a required flag has no built-in default."""
 
     type: type = str
     default: object = None
     choices: tuple[str, ...] | None = None
     help: str | None = None
     required: bool = False
-    positive: bool = False
 
 
 class _Command(NamedTuple):
@@ -450,17 +451,15 @@ _COUPLING = _Flag(float, required=True)
 _GRID = _Flag(help=f"coupling grid start:stop:step (inclusive, at most {_MAX_GRID_POINTS} points)",
               required=True)
 _FORMAT = _Flag(default="csv", choices=("csv", "json"))
-_THREADS = _Flag(int, help="accepted for compatibility, no effect: sweeps run serially",
-                 positive=True)
 _OUTPUT = _Flag(help="output path (default: stdout)")
 
 _SPEC = {
     "spectrum": _Command(_cmd_spectrum, "eigenvalues over a coupling grid", {
-        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT, "threads": _THREADS}),
+        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT}),
     "ground": _Command(_cmd_ground, "ground-state distribution", {
         "model": _MODEL, "n": _N, "coupling": _COUPLING, "format": _FORMAT}),
     "hz": _Command(_cmd_hz, "entanglement witnesses over a grid", {
-        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT, "threads": _THREADS,
+        "model": _MODEL, "n": _N, "grid": _GRID, "format": _FORMAT,
         "refine": _Flag(bool, True),
         "refine_to": _Flag(float, 1e-5, help="refinement step floor (default 1e-5)")}),
     "meanfield": _Command(_cmd_meanfield, "fixed-step mean-field trajectory", {
@@ -512,6 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(*names, action=argparse.BooleanOptionalAction, help=flag.help)
             else:
                 p.add_argument(*names, type=flag.type, choices=flag.choices, help=flag.help)
+        if command in ("spectrum", "hz"):  # parse-only, for existing command lines
+            p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON file with flag defaults")
     return parser
 
@@ -527,7 +528,7 @@ def _typed(flag: _Flag, value):
         value = flag.type(value)
     except OverflowError:  # an integer beyond the float range is no number
         raise ValueError from None
-    if (flag.choices is not None and value not in flag.choices) or (flag.positive and value < 1):
+    if flag.choices is not None and value not in flag.choices:
         raise ValueError
     return value
 
@@ -535,8 +536,6 @@ def _typed(flag: _Flag, value):
 def _expected(flag: _Flag) -> str:
     if flag.choices:
         return "one of " + ", ".join(flag.choices)
-    if flag.positive:
-        return "a positive integer"
     names = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
     return names[flag.type]
 

@@ -61,7 +61,9 @@ class TrapParams:
     mass: particle mass in kg (see :func:`atomic_mass`).
     a_perp: optional explicit transverse length in meters; when omitted it
     is derived as sqrt(hbar/(mass omega_perp)).
-    Every field given must be finite, and n_atoms at most the largest float.
+    Every field given must be finite, and n_atoms at most the largest float;
+    a mass * omega_perp (when a_perp is derived) or a kappa that underflows
+    to 0 from nonzero inputs is a ValueError.
     """
 
     a_sc: float
@@ -91,6 +93,11 @@ class TrapParams:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.a_perp is not None and self.a_perp <= 0:
             raise ValueError(f"a_perp must be > 0, got {self.a_perp}")
+        # a derived denominator that underflows to 0 would divide by zero later
+        if self.a_perp is None and self.mass * self.omega_perp == 0:
+            raise ValueError("a_perp cannot be derived: mass * omega_perp underflows to 0")
+        if self.tunnel_rate > 0 and self.kappa == 0:
+            raise ValueError("kappa = tunnel_rate / omega_perp underflows to 0")
 
     @property
     def a_perp_eff(self) -> float:

@@ -4,10 +4,10 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: dense cyclic Jacobi rotations for the tridiagonal
 eigensolver, extended-precision Sturm bisection and recurrence for the
 ground-state tails, explicit fixed-step integration for the spectral propagator,
-dense ladder-operator matrices for the moment-based witnesses, term-by-term
-extended-precision products for the loss branches and the Hartree cat
-states, and scipy's adaptive integrators for the mean-field flow and the
-overlap quadrature.
+dense ladder-operator matrices and extended-precision moment sums for the
+moment-based witnesses, term-by-term extended-precision products for the
+loss branches and the Hartree cat states, and scipy's adaptive integrators
+for the mean-field flow and the overlap quadrature.
 """
 
 from __future__ import annotations
@@ -128,6 +128,30 @@ def dense_hz(amps: np.ndarray, m: int) -> float:
     if den == 0:
         raise ZeroDivisionError("witness denominator vanished")
     return float(1.0 + (pop - abs(coh) ** 2) / den)
+
+
+def mp_hz(amps: np.ndarray, m: int, dps: int = 60) -> float:
+    """Order-m witness 1 + (pop - |coh|^2) / den from its three moments,
+    summed term by term in mpmath over the amplitudes as given:
+        pop = sum_n |A_n|^2 (N-n)_m (n)_m
+        coh = sum_n conj(A_{n+m}) A_n sqrt((N-n)_m (n+m)_m)
+        den = sum_n |A_n|^2 (N-n)_m ((n+m)_m - (n)_m)
+    with (x)_m = x!/(x-m)! the exact integer falling factorial (0 for x < m).
+    No logarithms and no rescaling; O(N) terms, for any N."""
+    import math
+
+    import mpmath
+
+    N = len(amps) - 1
+    with mpmath.workdps(dps):
+        a = [mpmath.mpc(complex(x)) for x in amps]
+        fa = [mpmath.mpf(math.perm(N - n, m)) for n in range(N + 1)]
+        pop = mpmath.fsum(abs(a[n]) ** 2 * fa[n] * math.perm(n, m) for n in range(N + 1))
+        coh = mpmath.fsum(mpmath.conj(a[n + m]) * a[n] * mpmath.sqrt(fa[n] * math.perm(n + m, m))
+                          for n in range(N + 1 - m))
+        den = mpmath.fsum(abs(a[n]) ** 2 * fa[n] * (math.perm(n + m, m) - math.perm(n, m))
+                          for n in range(N + 1))
+        return float(1 + (pop - abs(coh) ** 2) / den)
 
 
 def reference_flow(z0: float, theta0: float, Lambda: float, tau_max: float):
@@ -277,6 +301,22 @@ def mp_loss_rows(amps: np.ndarray, eta_a: float, eta_b: float, dps: int = 40) ->
                     wb = mpmath.binomial(n, lb) * eb ** (n - lb) * (1 - eb) ** lb
                     rows[la, lb, n] = float(p * wa * wb)
     return rows
+
+
+def mp_branch_probability(amps: np.ndarray, l_a: int, l_b: int, eta_a: float, eta_b: float,
+                          dps: int = 40) -> float:
+    """Probability of the loss branch (l_a, l_b): the rows of mp_loss_rows
+    for that one branch, summed in mpmath.  O(N), for any N."""
+    import mpmath
+
+    N = len(amps) - 1
+    with mpmath.workdps(dps):
+        ea, eb = mpmath.mpf(float(eta_a)), mpmath.mpf(float(eta_b))
+        return float(mpmath.fsum(
+            abs(mpmath.mpc(complex(amps[n]))) ** 2
+            * mpmath.binomial(N - n, l_a) * ea ** (N - n - l_a) * (1 - ea) ** l_a
+            * mpmath.binomial(n, l_b) * eb ** (n - l_b) * (1 - eb) ** l_b
+            for n in range(l_b, N - l_a + 1)))
 
 
 def mp_cat_amplitudes(Lambda: float, n_total: int, sign: int, dps: int = 80) -> np.ndarray:

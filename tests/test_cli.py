@@ -53,11 +53,17 @@ def test_spectrum_deterministic_and_json(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "hz"])
-def test_spectrum_threads_identical(command, tmp_path):
+def test_spectrum_threads_identical(command, tmp_path, capsys):
+    # --threads N is parsed for existing command lines, never read, and
+    # unlisted in --help
     argv = [command, "--model", "sjj", "--n", "40", "--grid", "0:3:0.25"]
-    _, f1 = run(tmp_path, "t1.csv", argv + ["--threads", "1"])
-    _, f2 = run(tmp_path, "t2.csv", argv + ["--threads", "4"])
-    assert f1.read_bytes() == f2.read_bytes()
+    _, f0 = run(tmp_path, "t0.csv", argv)
+    for threads in ("2", "0", "-3"):
+        _, f = run(tmp_path, "t.csv", argv + ["--threads", threads])
+        assert f.read_bytes() == f0.read_bytes(), threads
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--threads" not in capsys.readouterr().out
 
 
 def test_spectrum_envelope(tmp_path):
@@ -117,6 +123,14 @@ def test_meanfield_fixed_point(tmp_path):
     assert data.shape == (1001, 5)
     assert np.max(np.abs(data[:, 1] - math.sqrt(0.5))) <= 1e-8
     assert np.max(np.abs(data[:, 4])) <= 1e-10
+
+
+def test_meanfield_negative_e_notation_as_flag_equals_value(tmp_path):
+    # argparse reads a separate -5e-1 as an option; --z0=-5e-1 is the number
+    argv = ["meanfield", "--coupling", "4", "--tau-max", "1"]
+    _, spaced = run(tmp_path, "spaced.csv", [*argv, "--z0", "-0.5"])
+    _, joined = run(tmp_path, "joined.csv", [*argv, "--z0=-5e-1"])
+    assert joined.read_bytes() == spaced.read_bytes()
 
 
 def test_meanfield_single_row(tmp_path):
@@ -252,13 +266,21 @@ def test_spectrum_solver_failure_exit4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_losses_zero_probability_exit3(tmp_path):
+def test_losses_zero_probability_exit3(tmp_path, capsys):
+    # the empty results: a single branch of probability 0 exits 3 ...
     out = tmp_path / "z.csv"
     rc = main(["losses", "--model", "sjj", "--n", "20", "--coupling", "4",
                "--la", "1", "--lb", "0", "--eta-a", "1.0", "--eta-b", "1.0",
                "-o", str(out)])
     assert rc == 3
+    assert "has zero probability" in capsys.readouterr().err
     assert not out.exists()  # no partial output on failure
+    # ... while a traced table that no branch reaches exits 0 with no row
+    rc, f = run(tmp_path, "none.csv", ["losses", "--model", "sjj", "--n", "10",
+                                       "--coupling", "2", "--p-min", "2"])
+    assert rc == 0
+    comment, header = f.read_text().splitlines()
+    assert comment.startswith("# sjj ") and header == "la,lb,n,prob"
 
 
 def test_hartree_json(tmp_path):
@@ -425,6 +447,11 @@ commands = [
     ([*physical, "--species", "rb87", "--n", "300"], 0),
     (["hartree", "--coupling", "-1"], 3),
     ([*physical, "--n", "0"], 3),
+    # mass * omega_perp and kappa = tunnel_rate / omega_perp underflow to 0
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "1e-300",
+      "--kappa-hz", "77", "--n", "300"], 3),
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
+      "--kappa-hz", "5e-324", "--n", "300"], 3),
 ]
 try:
     main(["--version"])
@@ -526,17 +553,9 @@ def test_config_precedence(tmp_path, capsys):
     assert meta["n"] == 10          # config beats built-in default
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_nonpositive_threads_flag_is_usage_error(threads, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--model", "bjj", "--n", "4", "--grid", "0:1:0.5",
-              "--threads", threads])
-    assert exc.value.code == 2
-    assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("value", ["x", 0, -2, 1.5, True])
 def test_bad_config_threads_is_usage_error(value, tmp_path, capsys):
+    # threads is no flag of any command; spectrum and hz only parse --threads
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": value}))
     with pytest.raises(SystemExit) as exc:
@@ -544,7 +563,7 @@ def test_bad_config_threads_is_usage_error(value, tmp_path, capsys):
               "--config", str(cfg)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"'threads' in config file {cfg} must be a positive integer" in err
+    assert f"'threads' in config file {cfg} is no flag of any command" in err
 
 
 GROUND = ["ground", "--model", "sjj", "--n", "10", "--coupling", "1"]
@@ -621,7 +640,7 @@ def test_valid_config_values_echo_as_given(tmp_path):
     # each value echoes as its flag's type, as the same run given as flags does
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "bjj", "n": "6", "grid": "0:1:0.5", "refine": False,
-                               "refine_to": 1, "threads": 3}))
+                               "refine_to": 1}))
     rc, f = run(tmp_path, "hz.csv", ["hz", "--config", str(cfg)])
     assert rc == 0
     comment = f.read_text().splitlines()[0]
@@ -713,25 +732,6 @@ def test_losses_half_pair_is_usage_error(half, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--la and --lb must be given together" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_threads_flag_beats_bad_env(tmp_path, monkeypatch):
-    # the environment is a fallback only: an explicit flag never reads it
-    monkeypatch.setenv("SJJ_THREADS", "abc")
-    rc, _ = run(tmp_path, "f.csv", ["spectrum", "--model", "bjj", "--n", "4",
-                                    "--grid", "0:1:0.5", "--threads", "2"])
-    assert rc == 0
-    rc, _ = run(tmp_path, "g.csv", ["ground", "--model", "bjj", "--n", "4",
-                                    "--coupling", "1"])
-    assert rc == 0  # commands without a thread pool ignore it
-
-
-def test_env_threads(tmp_path, monkeypatch):
-    argv = ["spectrum", "--model", "bjj", "--n", "30", "--grid", "0:2:0.5"]
-    _, f1 = run(tmp_path, "e1.csv", argv)
-    monkeypatch.setenv("SJJ_THREADS", "3")
-    _, f2 = run(tmp_path, "e2.csv", argv)
-    assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_stdout_output(capsys):

@@ -13,9 +13,12 @@ from sjj import (
     ZeroProbabilityBranchError,
     bs_coefficient,
     build_hamiltonian,
+    cat_state,
     conditional_state,
     gamma3,
+    ground,
     ground_state,
+    hz_criterion,
     loss_mixture,
     noon_state,
     one_body_decay,
@@ -23,7 +26,7 @@ from sjj import (
     traced_mixture,
 )
 from sjj import losses
-from oracles import mp_loss_rows, random_state
+from oracles import mp_branch_probability, mp_hz, mp_loss_rows, random_state
 
 
 def satellite_noon(n_total: int, side: float = 1e-3) -> FockState:
@@ -435,6 +438,62 @@ def test_traced_rows_order_and_floor(rng):
     assert all(len(col) == 0 for col in traced_mixture(s, ch, p_min=2.0))
     with pytest.raises(ValueError):
         traced_mixture(s, ch, p_min=-1.0)
+
+
+def lobe_ratio(s: FockState) -> float:
+    """Smaller over larger of the probability below and above the centre n = N/2."""
+    n, p = np.arange(s.n_total + 1), s.probabilities
+    below, above = p[2 * n < s.n_total].sum(), p[2 * n > s.n_total].sum()
+    return min(below, above) / max(below, above)
+
+
+# SJJ, N = 300, eta_a = eta_b = 0.999: the ground state's (1, 1) branch
+# probability and order-N' witness, and its (1, 0) lobe ratio
+GROUND_AFTER_LOSS = {2.001: (2.187e-5, 0.6795, 3.29e-4),
+                     2.1: (1.727e-5, 0.6538, 2.60e-4),
+                     4.0: (2.538e-6, 0.5313, 3.81e-5)}
+
+
+def test_ground_state_keeps_an_entangled_two_lobe_state_after_losses():
+    # The paper's claim: tiny entangled Fock components next to the N00N
+    # components make the quantum SJJ state resist few-particle losses,
+    # unlike its Hartree analogue.  The figures of merit, the lobe ratio and
+    # the order-N' witness of the state left after the losses, are this
+    # package's, not the paper's.  Tolerances: 1e-3 relative on P, 1e-2 on a
+    # (1, 0) lobe ratio, 1e-4 absolute on a witness; the oracles to 1e-12 and
+    # 5e-13.
+    ch = LossChannel(0.999, 0.999)
+
+    def after(s, l_a, l_b):
+        b = conditional_state(s, l_a, l_b, ch)
+        hz = hz_criterion(b.state, b.n_remaining)
+        assert abs(hz - mp_hz(b.state.amps, b.n_remaining)) <= 5e-13
+        want = mp_branch_probability(s.amps, l_a, l_b, 0.999, 0.999)
+        assert abs(b.probability - want) <= 1e-12 * want
+        return b.probability, lobe_ratio(b.state), hz
+
+    for coupling, (p11, hz11, lobe10) in GROUND_AFTER_LOSS.items():
+        s = ground(ModelKind.SJJ, 300, coupling)[1]
+        p, lobe, hz = after(s, 1, 1)
+        # both lobes survive one loss from each mode, entangled at order N'
+        assert abs(p - p11) <= 1e-3 * p11 and abs(lobe - 1.0) <= 1e-12 and abs(hz - hz11) <= 1e-4
+        _, lobe, hz = after(s, 1, 0)
+        # one loss from mode a leaves the lobe that had atoms in a
+        assert abs(lobe - lobe10) <= 1e-2 * lobe10 and 0.9997 <= hz <= 1.0
+
+    # the even Hartree cat keeps its lobes too, but no order-N' entanglement
+    cat = cat_state(2.001, 300)
+    p, lobe, hz = after(cat, 1, 1)
+    assert abs(p - 8.342e-3) <= 1e-3 * 8.342e-3 and abs(lobe - 1.0) <= 1e-12
+    assert abs(hz - 1.0) <= 1e-4
+    _, lobe, hz = after(cat, 1, 0)
+    assert abs(lobe - 0.1722) <= 1e-3 * 0.1722 and abs(hz - 1.0) <= 1e-4
+
+    # a pure N00N state cannot lose from both modes, and one loss collapses it
+    with pytest.raises(ZeroProbabilityBranchError):
+        conditional_state(noon_state(300), 1, 1, ch)
+    _, lobe, hz = after(noon_state(300), 1, 0)
+    assert lobe == 0.0 and hz == 1.0
 
 
 def test_three_body_decay():

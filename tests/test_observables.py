@@ -17,6 +17,7 @@ from sjj import (
     coherent_fock_amplitudes,
     conditional_state,
     crossover_coupling,
+    ground,
     ground_state,
     hz1_from_spins,
     hz_criterion,
@@ -27,7 +28,7 @@ from sjj import (
 )
 from sjj import observables
 from sjj.observables import cj_scan, refine_minimum
-from oracles import dense_hz, random_balanced_state, random_state
+from oracles import dense_hz, mp_hz, random_balanced_state, random_state
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
 R2 = 1.0 / math.sqrt(2.0)
@@ -115,6 +116,19 @@ def test_hz_against_dense_oracle(rng):
                 got = hz_criterion(FockState(amps), m)
                 ref = dense_hz(amps, m)
                 assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_hz_against_mp_moment_sums_at_n300(rng):
+    # the mpmath oracle agrees with the dense one where both run ...
+    amps = random_state(rng, 7)
+    assert all(abs(mp_hz(amps, m) - dense_hz(amps, m)) <= 1e-13 for m in range(1, 8))
+    # ... and pins the log-space moments at N = 300, up to m = N; the worst
+    # error measured over these cases is 1.7e-13
+    states = [coherent_fock_amplitudes(R2, R2, 300)]
+    states += [ground(SJJ, 300, coupling)[1] for coupling in (0.5, 2.001, 4.0)]
+    for s in states:
+        for m in (1, 2, 3, 10, 150, 299, 300):
+            assert abs(hz_criterion(s, m) - mp_hz(s.amps, m)) <= 5e-13, m
 
 
 def test_hz_highest_order_reduction(rng):
