@@ -115,8 +115,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise _UsageError(f"grid must be start:stop:step, got {spec!r}") from None
-    if step <= 0:
-        raise _UsageError(f"grid step must be > 0, got {step}")
+    if not 0 < step < math.inf:  # an infinite step would make the points inf * 0
+        raise _UsageError(f"grid step must be finite and > 0, got {step}")
     if start > stop:
         raise _UsageError(f"grid start must be <= stop, got {spec!r}")
     span = (stop - start) / step + 1e-9

@@ -12,27 +12,26 @@ Sturm-count bisection (Barth, Martin & Wilkinson 1967, Numer. Math. 9, 386;
 the algorithm inside LAPACK ``stebz``), which costs O(N) per step and needs
 no LAPACK.  ``ground`` is ``ground_state`` of the model at (kind, N, coupling).
 
-* Mirror symmetry.  Every built Hamiltonian commutes with the mirror
-  n -> N-n and has couplings <= 0.  A centrosymmetric matrix splits exactly
-  into an even and an odd block of about half the size in the basis
-  (|n> +- |N-n>)/sqrt(2) (Cantoni & Butler 1976, Linear Algebra Appl. 13,
-  275; ``_sectors``), and each block is solved on its own, so every vector
-  is even or odd bit for bit however close its doublet partner lies.  Past
+* Mirror symmetry.  Every ``TridiagonalHamiltonian`` commutes with the
+  mirror n -> N-n and has couplings < 0 (<= 0 at N = 1); its constructor
+  checks both.  Such a chain splits exactly into an even and an odd block
+  of about half the size in the basis (|n> +- |N-n>)/sqrt(2) (Cantoni &
+  Butler 1976, Linear Algebra Appl. 13, 275; ``_sectors``), and every
+  solver here works on the blocks, so every vector is even or odd bit for
+  bit however close its doublet partner lies.  Past
   the self-trapping crossover the edge doublets are degenerate below double
   precision, and a solver given the whole chain returns arbitrary mixtures
-  of their members.  The levels of a chain whose couplings are all <= 0
-  alternate in parity, even first (Sturm oscillation: level k changes sign
-  k times), so the j-th even level is level 2j and the j-th odd level is
-  level 2j+1.  Other matrices are solved whole.
+  of their members.  The levels of such a chain alternate in parity, even
+  first (Sturm oscillation: level k changes sign k times), so the j-th even
+  level is level 2j and the j-th odd level is level 2j+1.
 
 * Sign convention.  The first component of each eigenvector with magnitude
   above 1e-12 is made positive, so repeated runs are bit-comparable.
 
-The ground vector of a mirror-symmetric chain whose even block has negative
-couplings (every built Hamiltonian) is built from its three-term recurrence,
-run in the stable direction on each side of a twist row: from the edge n = 0
-up to the twist, and from the centre, closed by the mirror condition, down
-to it (a twisted factorisation; Fernando 1997, Dhillon & Parlett 2004).  The
+The ground vector is built from its three-term recurrence, run in the
+stable direction on each side of a twist row: from the edge n = 0 up to the
+twist, and from the centre, closed by the mirror condition, down to it (a
+twisted factorisation; Fernando 1997, Dhillon & Parlett 2004).  The
 twist is the row where the twisted factorisations of the even block just
 below E0 have their smallest |gamma_k|, which is where the vector is
 largest.  The ratios are accumulated as logarithms, so every amplitude is
@@ -136,9 +135,8 @@ def _tridiagonal(diag: np.ndarray, offdiag: np.ndarray, vectors: bool = False):
 _Block = tuple[np.ndarray, np.ndarray]
 
 
-def _sectors(h: TridiagonalHamiltonian) -> tuple[_Block, _Block] | None:
-    """The (diag, offdiag) of the even and the odd block under n -> N-n, or
-    None unless the chain is mirror symmetric with all couplings <= 0.
+def _sectors(h: TridiagonalHamiltonian) -> tuple[_Block, _Block]:
+    """The (diag, offdiag) of the even and the odd block under n -> N-n.
 
     With centre c = N//2, for N even the even block is rows 0..c with the
     last coupling scaled by sqrt(2) (row c is |c> itself) and the odd block
@@ -146,12 +144,6 @@ def _sectors(h: TridiagonalHamiltonian) -> tuple[_Block, _Block] | None:
     added to the last diagonal entry (even) or subtracted from it (odd).
     """
     diag, offdiag = h.diag, h.offdiag
-    if not (
-        np.all(offdiag <= 0.0)
-        and np.array_equal(diag, diag[::-1])
-        and np.array_equal(offdiag, offdiag[::-1])
-    ):
-        return None
     c = (len(diag) - 1) // 2
     if len(diag) % 2:  # N even
         even_off = offdiag[:c].copy()
@@ -182,21 +174,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(vectors[first, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def _sturm_eigenvalue(
-    diag: np.ndarray, offdiag: np.ndarray, k: int, lo: float | None = None
-) -> float:
-    """Level k (0 = lowest) of a symmetric tridiagonal matrix by Sturm-count
-    bisection down to adjacent floats: the largest float it finds with at
-    most k levels below it.
+def _sturm_eigenvalue(diag: np.ndarray, offdiag: np.ndarray, lo: float | None = None) -> float:
+    """Lowest level of a symmetric tridiagonal matrix by Sturm-count
+    bisection down to adjacent floats: the largest float it finds with no
+    level below it.
 
-    The count is the number of negative pivots of the LDL^T factorisation of
-    the matrix minus x (Sylvester's law of inertia), and stops as soon as it
-    exceeds k.  ``lo`` must have at most k levels below it; it defaults to
-    the Gershgorin bound.  Pure Python over lists, O(N) per step.
+    A level lies below x when the LDL^T factorisation of the matrix minus x
+    has a negative pivot (Sylvester's law of inertia); the sweep stops at the
+    first one.  ``lo`` must have no level below it; it defaults to the
+    Gershgorin bound.  Pure Python over lists, O(N) per step.
     """
     d = diag.tolist()
-    if not 0 <= k < len(d):
-        raise ValueError(f"level {k} does not exist for dimension {len(d)}")
     b2 = [0.0] + (offdiag * offdiag).tolist()
     pivmin = _TINY * max(1.0, max(b2))
     radius = np.zeros(len(d))
@@ -208,17 +196,14 @@ def _sturm_eigenvalue(
     lo = bottom - pad if lo is None else lo
     hi = top + pad
 
-    def above(x: float) -> bool:  # more than k levels below x
-        left, q = k, 1.0
+    def above(x: float) -> bool:  # a level below x
+        q = 1.0
         for dj, bj2 in zip(d, b2):
             q = (dj - x) - bj2 / q
             if q <= 0.0:
-                if q == 0.0:
-                    q = pivmin
-                elif left:
-                    left -= 1
-                else:
+                if q < 0.0:
                     return True
+                q = pivmin
         return False
 
     while True:
@@ -312,23 +297,18 @@ def _even_ground_vector(
 def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum of a tridiagonal Hamiltonian, deterministic output.
 
-    A chain that ``_sectors`` splits gets even vectors in columns 0, 2, 4, ...
-    and odd vectors in columns 1, 3, 5, ..., each even or odd bit for bit;
-    the energies are the sorted union of both blocks' levels.  Other
-    matrices are solved whole.
+    The even block's vectors fill columns 0, 2, 4, ... and the odd block's
+    columns 1, 3, 5, ..., each even or odd bit for bit; the energies are the
+    sorted union of both blocks' levels.
     """
-    sectors = _sectors(h)
-    if sectors is None:
-        energies, vectors = _tridiagonal(h.diag, h.offdiag, vectors=True)
-    else:
-        (even_e, even_v), (odd_e, odd_v) = (
-            _tridiagonal(*block, vectors=True) for block in sectors
-        )
-        dim = len(h.diag)
-        energies = np.sort(np.concatenate((even_e, odd_e)))
-        vectors = np.empty((dim, dim))
-        vectors[:, 0::2] = _unfold(even_v, dim, 1.0)
-        vectors[:, 1::2] = _unfold(odd_v, dim, -1.0)
+    (even_e, even_v), (odd_e, odd_v) = (
+        _tridiagonal(*block, vectors=True) for block in _sectors(h)
+    )
+    dim = len(h.diag)
+    energies = np.sort(np.concatenate((even_e, odd_e)))
+    vectors = np.empty((dim, dim))
+    vectors[:, 0::2] = _unfold(even_v, dim, 1.0)
+    vectors[:, 1::2] = _unfold(odd_v, dim, -1.0)
     vectors = _fix_signs(vectors)
     vectors.setflags(write=False)
     energies.setflags(write=False)
@@ -338,13 +318,10 @@ def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
 def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
     """All energies of a tridiagonal Hamiltonian, ascending and read-only.
 
-    A chain that ``_sectors`` splits (every built Hamiltonian) is solved one
-    block at a time; other matrices are solved whole.  The energies agree
-    with ``eigen_decompose(h).energies`` to rounding.
+    The chain is solved one block at a time; the energies agree with
+    ``eigen_decompose(h).energies`` to rounding.
     """
-    sectors = _sectors(h)
-    blocks = [(h.diag, h.offdiag)] if sectors is None else sectors
-    energies = np.sort(np.concatenate([_tridiagonal(*block) for block in blocks]))
+    energies = np.sort(np.concatenate([_tridiagonal(*block) for block in _sectors(h)]))
     energies.setflags(write=False)
     return energies
 
@@ -352,33 +329,25 @@ def eigenvalues(h: TridiagonalHamiltonian) -> np.ndarray:
 def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     """Lowest eigenpair.
 
-    The energy is the lowest level of the even block of a chain that
-    ``_sectors`` splits (every built Hamiltonian), or of the whole chain
-    otherwise, by Sturm-count bisection.  With all couplings of the even
-    block < 0 (every built Hamiltonian; at N = 1 the block is 1 x 1 and has
-    none) the vector is then built from the recurrence, twisted where the
-    twisted factorisations of the even block put its largest component, so
-    the amplitudes are real, strictly positive wherever they do not
+    The energy is the lowest level of the even block, by Sturm-count
+    bisection.  The vector is then built from the recurrence, twisted where
+    the twisted factorisations of the even block put its largest component,
+    so the amplitudes are real, strictly positive wherever they do not
     underflow, and accurate relative to their own size in the exponentially
-    small tails.  Other matrices (hand-assembled ones) get column 0 of
-    ``eigen_decompose(h)``.
+    small tails.
 
     The built vector is checked by its residual alone: raises
     EigensolveError if max |H a - E a| exceeds 1e-13 sqrt(N+1) max(1, |E|),
     as it does when E is not an eigenvalue to rounding.
     """
-    sectors = _sectors(h)
-    block = (h.diag, h.offdiag) if sectors is None else sectors[0]
-    energy = _sturm_eigenvalue(*block, 0)
+    even, _ = _sectors(h)
+    energy = _sturm_eigenvalue(*even)
     dim = len(h.diag)
-    if sectors is not None and np.all(block[1] < 0.0):
-        peak = _twist_index(*block, energy, 0.5 if dim % 2 else 1.0)
-        vec = _even_ground_vector(h.diag, h.offdiag, energy, peak)
-        residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
-        if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
-            raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
-    else:
-        vec = eigen_decompose(h).vectors[:, 0]
+    peak = _twist_index(*even, energy, 0.5 if dim % 2 else 1.0)
+    vec = _even_ground_vector(h.diag, h.offdiag, energy, peak)
+    residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
+    if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
+        raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
     return energy, FockState(vec.astype(complex))
 
 
@@ -407,7 +376,9 @@ def propagate(
 
 
 def energy_gap(h: TridiagonalHamiltonian) -> float:
-    """Gap between the two lowest levels of the whole chain, >= 0: level 1 is
-    bisected from level 0 upward, so a degenerate pair gives exactly 0."""
-    e0 = _sturm_eigenvalue(h.diag, h.offdiag, 0)
-    return _sturm_eigenvalue(h.diag, h.offdiag, 1, lo=e0) - e0
+    """Gap between the two lowest levels, >= 0.  Level 0 is the lowest even
+    level and level 1 the lowest odd one, bisected from level 0 upward, so a
+    degenerate pair gives exactly 0."""
+    even, odd = _sectors(h)
+    e0 = _sturm_eigenvalue(*even)
+    return _sturm_eigenvalue(*odd, lo=e0) - e0

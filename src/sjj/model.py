@@ -18,8 +18,11 @@ The 0.21 factor is the quadratic fit of the soliton overlap integral, see
 :func:`sjj.meanfield.overlap_integral`; it is defined once, as
 ``_OVERLAP_FIT`` in the numpy-free :mod:`sjj.overlap_fit`, which also
 derives the mean-field and Hartree constants from it.
-Both coefficient sets are mirror symmetric under n -> N-n; the builder
-evaluates the lower half and reflects it so the symmetry holds bit-exactly.
+Both coefficient sets are mirror symmetric under n -> N-n and have
+couplings beta_n < 0 (beta_0 = -0.0 for SJJ at N = 1); the builder evaluates
+the lower half and reflects it so the symmetry holds bit-exactly.
+``TridiagonalHamiltonian`` checks both properties when it is constructed,
+so every eigensolver may split the chain into its even and odd blocks.
 """
 
 from __future__ import annotations
@@ -96,11 +99,16 @@ class TridiagonalHamiltonian:
     """Symmetric tridiagonal Hamiltonian in units of kappa*N.
 
     ``diag`` holds alpha_n (length N+1), ``offdiag`` holds beta_n (length N)
-    coupling n and n+1.  All off-diagonal entries are <= 0, which makes the
-    matrix an irreducible chain with a sign-definite ground vector for N >= 2.
-    Every entry must be finite: the LAPACK routines behind the eigensolvers
-    do not check, and return finite levels for a NaN entry.  Both arrays are
-    stored as read-only copies, so the check cannot be undone afterwards.
+    coupling n and n+1.  Construction checks, in this order, that every
+    entry is finite (the LAPACK routines behind the eigensolvers do not
+    check, and return finite levels for a NaN entry), that the chain is
+    mirror symmetric, diag[n] == diag[N-n] and offdiag[n] == offdiag[N-1-n]
+    exactly, and that every coupling is < 0 (the one coupling of N = 1 may
+    be 0, as the SJJ one is), and raises ValueError naming the first that
+    fails.  Every eigensolver relies on this class of chain: it splits into
+    an even and an odd block, and its levels alternate in parity, even first.
+    Both arrays are stored as read-only copies, so the checks cannot be
+    undone afterwards.
     """
 
     diag: np.ndarray
@@ -116,6 +124,11 @@ class TridiagonalHamiltonian:
             raise ValueError("offdiag must have length n_total")
         if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
             raise ValueError("diag and offdiag must be finite")
+        if not (np.array_equal(self.diag, self.diag[::-1])
+                and np.array_equal(self.offdiag, self.offdiag[::-1])):
+            raise ValueError("diag and offdiag must be mirror symmetric under n -> N-n")
+        if not (np.all(self.offdiag < 0.0) or (self.n_total == 1 and self.offdiag[0] == 0.0)):
+            raise ValueError("every coupling must be < 0 (at n_total = 1, <= 0)")
 
     @property
     def n_total(self) -> int:

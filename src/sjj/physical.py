@@ -62,8 +62,9 @@ class TrapParams:
     a_perp: optional explicit transverse length in meters; when omitted it
     is derived as sqrt(hbar/(mass omega_perp)).
     Every field given must be finite, and n_atoms at most the largest float;
-    a mass * omega_perp (when a_perp is derived) or a kappa that underflows
-    to 0 from nonzero inputs is a ValueError.
+    a mass * omega_perp (when a_perp is derived), a kappa or a nu that
+    underflows to 0 from nonzero inputs is a ValueError.  omega_x = 0 (no
+    axial trap) gives nu = 0.
     """
 
     a_sc: float
@@ -98,6 +99,8 @@ class TrapParams:
             raise ValueError("a_perp cannot be derived: mass * omega_perp underflows to 0")
         if self.tunnel_rate > 0 and self.kappa == 0:
             raise ValueError("kappa = tunnel_rate / omega_perp underflows to 0")
+        if self.omega_x > 0 and self.nu == 0:
+            raise ValueError("nu = omega_x / omega_perp underflows to 0")
 
     @property
     def a_perp_eff(self) -> float:

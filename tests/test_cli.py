@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sjj import __version__, cli, eigensolve, ground_state, losses
 from sjj.cli import _MAX_GRID_POINTS, _parse_grid, main
@@ -326,7 +331,8 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["crossover", "--model", "sjj", "--n", "50", "--criterion", "bogus"])
     assert exc.value.code == 2
-    for grid in ("1:2", "0:1:0"):
+    # an infinite step gave the one point 0 + inf * 0 = nan
+    for grid in ("1:2", "0:1:0", "0:0:inf"):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--model", "sjj", "--n", "4", "--grid", grid])
         assert exc.value.code == 2
@@ -447,11 +453,14 @@ commands = [
     ([*physical, "--species", "rb87", "--n", "300"], 0),
     (["hartree", "--coupling", "-1"], 3),
     ([*physical, "--n", "0"], 3),
-    # mass * omega_perp and kappa = tunnel_rate / omega_perp underflow to 0
+    # mass * omega_perp, kappa = tunnel_rate / omega_perp and nu = omega_x /
+    # omega_perp underflow to 0
     (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "1e-300",
       "--kappa-hz", "77", "--n", "300"], 3),
     (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "4398.2",
       "--kappa-hz", "5e-324", "--n", "300"], 3),
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "5e-324", "--omega-perp", "4398.2",
+      "--kappa-hz", "77", "--n", "300", "--a-perp", "1.4e-6"], 3),
 ]
 try:
     main(["--version"])
@@ -949,3 +958,84 @@ def test_non_finite_table_value_names_its_column():
         cli._json([(1.0, math.inf)], {"coupling": [1.0], "hz1": [math.inf]})
     assert cli._non_finite_key({"a": [1.0, {"b": (2, math.nan)}]}) == "a.b"
     assert cli._non_finite_key({"a": [1.0, 2]}) is None
+
+
+# edge values for every numeric flag, with each flag's README values added
+EDGE_VALUES = ("0", "-0.0", "1", "-1", "5e-324", "1e-300", "1e300", "1e308", "-1e308",
+               "inf", "-inf", "nan")
+README_VALUES: dict[str, set[str]] = {}
+for _argv in README_COMMANDS:
+    for _flag, _value in zip(_argv, _argv[1:]):
+        if _flag.startswith("--"):
+            README_VALUES.setdefault(_flag[2:].replace("-", "_"), set()).add(_value)
+
+
+def _flag_argument(key: str, flag: cli._Flag):
+    """One command-line argument for the flag, as --flag=value so that a
+    value with a leading minus reaches the flag."""
+    option = cli._option(key)
+    if flag.type is bool:
+        return st.sampled_from([option, "--no-" + option[2:]])
+    if key == "grid":
+        edges = st.tuples(*[st.sampled_from(EDGE_VALUES)] * 3).map(":".join)
+        values = st.sampled_from(sorted(README_VALUES[key])) | edges
+    elif flag.choices:
+        values = st.sampled_from([*flag.choices, "none"])
+    elif flag.type is int:  # N <= 12, and text that is no integer
+        values = st.integers(-2, 12).map(str) | st.sampled_from(EDGE_VALUES)
+    else:  # as often a README value as an edge value, where the README has one
+        values = st.sampled_from(EDGE_VALUES)
+        if key in README_VALUES:
+            values = st.sampled_from(sorted(README_VALUES[key])) | values
+    return values.map(lambda value: f"{option}={value}")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _assert_valid_output(path: Path) -> None:
+    text = path.read_text()
+    if not text.startswith("#"):  # JSON: a table or an object
+        obj = json.loads(text, parse_constant=_finite)
+        jsonschema.validate(obj, SCHEMA, cls=jsonschema.Draft202012Validator)
+        return
+    comment, header, *rows = text.splitlines()
+    assert comment.startswith("# sjj ")
+    json.loads(comment.split(" ", 3)[3], parse_constant=_finite)
+    width = len(header.split(","))
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == width, row
+        for field in fields:
+            _finite(field)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_edge_inputs_give_a_documented_exit_code(data):
+    # every command on N <= 12 and edge values, in process: exit 0, 2, 3 or
+    # 4, never an exception out of main; a failed run leaves no -o file, a
+    # run that succeeds writes a table that parses or JSON the schema admits
+    command = data.draw(st.sampled_from(sorted(cli._SPEC)))
+    argv = [command]
+    for key, flag in cli._SPEC[command].flags.items():
+        if flag.required or data.draw(st.booleans()):
+            argv.append(data.draw(_flag_argument(key, flag)))
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
+            try:
+                code = main([*argv, "-o", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            _assert_valid_output(out)
+        else:
+            assert os.listdir(tmp) == [], argv

@@ -60,17 +60,6 @@ def test_n2_bjj_zero_coupling():
     assert np.allclose(spec.energies, [-1.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_diag_only_matrix():
-    params = TwoModeParams(BJJ, 4, 1.0)
-    diag = np.array([3.0, -1.0, 2.0, 0.5, -2.5])
-    h = TridiagonalHamiltonian(diag=diag, offdiag=np.zeros(4), params=params)
-    spec = eigen_decompose(h)
-    assert np.array_equal(spec.energies, np.sort(diag))
-    # vectors form a permuted identity
-    assert np.allclose(np.abs(spec.vectors).sum(axis=0), 1.0, atol=1e-15)
-    assert np.allclose(np.max(np.abs(spec.vectors), axis=0), 1.0, atol=1e-15)
-
-
 @pytest.mark.parametrize("kind", [SJJ, BJJ])
 @pytest.mark.parametrize("coupling", [0.0, 1.0, 4.0])
 def test_jacobi_oracle_small(kind, coupling):
@@ -198,21 +187,6 @@ def test_ground_state_tails_match_extended_precision(kind, coupling):
         assert np.max(np.abs(np.log10(state.probabilities) - ref)) <= 1e-10
 
 
-def test_ground_state_hand_assembled_non_mirror():
-    # no mirror symmetry: the selected-pair solver's vector is returned as is
-    params = TwoModeParams(BJJ, 4, 1.0)
-    diag = np.array([0.3, -1.0, 0.2, 0.5, -0.1])
-    offdiag = np.array([-0.4, -0.2, -0.7, -0.3])
-    h = TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=params)
-    energy, state = ground_state(h)
-    w_ref, _ = jacobi_eigh(dense_from_tridiagonal(diag, offdiag))
-    assert abs(energy - w_ref[0]) <= 1e-12
-    resid = dense_from_tridiagonal(diag, offdiag) @ state.amps - energy * state.amps
-    assert np.max(np.abs(resid)) <= 1e-12
-    assert np.max(np.abs(state.amps - eigen_decompose(h).vectors[:, 0])) <= 1e-13
-    assert np.max(np.abs(state.probabilities - state.probabilities[::-1])) > 1e-3
-
-
 def test_ground_state_rebuild_disagreement_raises(monkeypatch):
     sturm = eigensolve._sturm_eigenvalue
 
@@ -231,8 +205,8 @@ def test_even_ground_vector_rejects_an_excited_energy():
     # guard the logs of the ratios would give a NaN vector
     h = build_hamiltonian(TwoModeParams(SJJ, 30, 1.0))
     even, _ = eigensolve._sectors(h)
-    peak = eigensolve._twist_index(*even, eigensolve._sturm_eigenvalue(*even, 0), 0.5)
-    excited = eigensolve._sturm_eigenvalue(*even, 1)
+    peak = eigensolve._twist_index(*even, eigensolve._sturm_eigenvalue(*even), 0.5)
+    excited = float(eigensolve._tridiagonal(*even)[1])
     with pytest.raises(eigensolve.EigensolveError, match="nonpositive ratio"):
         eigensolve._even_ground_vector(h.diag, h.offdiag, excited, peak)
 
@@ -250,10 +224,10 @@ def test_ground_state_n1(kind):
 def test_ground_state_n1_through_recurrence(kind, coupling, monkeypatch):
     # the even block of N = 1 is 1 x 1 and has no coupling to divide by, so
     # the general recurrence serves it (the SJJ coupling is -0.0)
-    def whole_chain(h):
-        raise AssertionError("N = 1 reached the whole-chain fallback")
+    def full_solve(h):
+        raise AssertionError("ground_state called eigen_decompose")
 
-    monkeypatch.setattr(eigensolve, "eigen_decompose", whole_chain)
+    monkeypatch.setattr(eigensolve, "eigen_decompose", full_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
         h = build_hamiltonian(TwoModeParams(kind, 1, coupling))
@@ -313,9 +287,13 @@ def test_energy_gap_bjj_large_coupling():
 
 
 def test_energy_gap_degenerate_diag():
-    params = TwoModeParams(BJJ, 2, 1.0)
-    h = TridiagonalHamiltonian(diag=np.full(3, -0.7), offdiag=np.zeros(2), params=params)
-    assert energy_gap(h) == 0.0
+    # deep in the edge-doublet regime the ground pair is degenerate below
+    # double precision: the odd level, bisected from the even one upward,
+    # gives exactly 0
+    for kind in (SJJ, BJJ):
+        for n_total in (300, 301, 1000):
+            for coupling in (4.0, 8.0):
+                assert energy_gap(_built(kind, n_total, coupling)) == 0.0
 
 
 def test_envelope_continuity():
@@ -349,16 +327,6 @@ def test_eigenvalues_match_dense_and_full_solve(kind, coupling):
         assert np.all(np.abs(energies - dense) <= 1e-13 * scale)
         full = eigen_decompose(h).energies
         assert np.all(np.abs(energies - full) <= 1e-13 * scale)
-
-
-def test_eigenvalues_hand_assembled_non_mirror():
-    # no mirror symmetry: solved as one chain, not split into sectors
-    params = TwoModeParams(BJJ, 4, 1.0)
-    diag = np.array([0.3, -1.0, 0.2, 0.5, -0.1])
-    offdiag = np.array([-0.4, -0.2, -0.7, -0.3])
-    h = TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=params)
-    w_ref, _ = jacobi_eigh(dense_from_tridiagonal(diag, offdiag))
-    assert np.max(np.abs(eigenvalues(h) - w_ref)) <= 1e-13
 
 
 def test_eigenvalues_ascending_and_read_only():
@@ -426,21 +394,18 @@ ULP = np.finfo(float).eps
 @pytest.mark.parametrize("coupling", STURM_COUPLINGS)
 def test_sturm_levels_match_extended_precision(kind, coupling):
     for n_total in STURM_SIZES:
+        # levels 0 and 1 of the whole chain are the lowest even and the
+        # lowest odd level
         h = _built(kind, n_total, coupling)
+        even, odd = eigensolve._sectors(h)
         energy, _ = ground_state(h)
         e0 = mp_tridiagonal_level(h.diag, h.offdiag, 0, near=energy)
         e1 = mp_tridiagonal_level(h.diag, h.offdiag, 1, near=energy + energy_gap(h))
         scale = 2.0 * ULP * max(1.0, abs(e0))
         assert abs(energy - e0) <= scale
-        assert abs(eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 0) - e0) <= scale
-        assert abs(eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 1) - e1) <= scale
+        assert abs(eigensolve._sturm_eigenvalue(*even) - e0) <= scale
+        assert abs(eigensolve._sturm_eigenvalue(*odd) - e1) <= scale
         assert abs(energy_gap(h) - (e1 - e0)) <= 2.0 * scale
-
-
-def test_sturm_eigenvalue_rejects_missing_level():
-    h = build_hamiltonian(TwoModeParams(BJJ, 3, 1.0))
-    with pytest.raises(ValueError):
-        eigensolve._sturm_eigenvalue(h.diag, h.offdiag, 4)
 
 
 @settings(max_examples=80, deadline=None)
@@ -505,21 +470,18 @@ def test_ground_is_ground_state_of_built_chain(kind, n_total):
 def _assert_lapack_matches_scipy(h):
     # the levels and vectors are those of scipy's public wrappers on the
     # same blocks, bit for bit: the same LAPACK routines, called directly
-    blocks = eigensolve._sectors(h) or [(h.diag, h.offdiag)]
+    blocks = eigensolve._sectors(h)
     levels = np.sort(np.concatenate([
         scipy.linalg.eigvalsh_tridiagonal(*block, lapack_driver="sterf") for block in blocks]))
     assert np.array_equal(eigenvalues(h), levels)
     solved = [scipy.linalg.eigh_tridiagonal(*block, lapack_driver="stevd") for block in blocks]
     spec = eigen_decompose(h)
-    if len(solved) == 1:
-        energies, vectors = solved[0]
-    else:
-        (even_e, even_v), (odd_e, odd_v) = solved
-        dim = len(h.diag)
-        energies = np.sort(np.concatenate((even_e, odd_e)))
-        vectors = np.empty((dim, dim))
-        vectors[:, 0::2] = eigensolve._unfold(even_v, dim, 1.0)
-        vectors[:, 1::2] = eigensolve._unfold(odd_v, dim, -1.0)
+    (even_e, even_v), (odd_e, odd_v) = solved
+    dim = len(h.diag)
+    energies = np.sort(np.concatenate((even_e, odd_e)))
+    vectors = np.empty((dim, dim))
+    vectors[:, 0::2] = eigensolve._unfold(even_v, dim, 1.0)
+    vectors[:, 1::2] = eigensolve._unfold(odd_v, dim, -1.0)
     assert np.array_equal(spec.energies, energies)
     assert np.array_equal(spec.vectors, eigensolve._fix_signs(vectors))
 
@@ -540,14 +502,6 @@ def test_lapack_routines_match_scipy_wrappers_on_1x1_blocks(kind, n_total):
     # N = 1 splits into two 1 x 1 blocks, N = 2 has a 1 x 1 odd block
     for coupling in (0.0, 0.5, 4.0):
         _assert_lapack_matches_scipy(_built(kind, n_total, coupling))
-
-
-def test_lapack_routines_match_scipy_wrappers_on_whole_chain():
-    params = TwoModeParams(BJJ, 4, 1.0)
-    h = TridiagonalHamiltonian(diag=np.array([0.3, -1.0, 0.2, 0.5, -0.1]),
-                               offdiag=np.array([-0.4, -0.2, -0.7, -0.3]), params=params)
-    assert eigensolve._sectors(h) is None
-    _assert_lapack_matches_scipy(h)
 
 
 @pytest.mark.parametrize("routine, solve", [("dsterf", eigenvalues),

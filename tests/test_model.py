@@ -106,15 +106,6 @@ def test_apply_zero_state():
     assert np.all(out == 0.0)
 
 
-def test_apply_diag_only():
-    params = TwoModeParams(BJJ, 4, 2.0)
-    base = build_hamiltonian(params)
-    h = TridiagonalHamiltonian(diag=base.diag, offdiag=np.zeros(4), params=params)
-    amps = np.linspace(0.1, 0.5, 5).astype(complex)
-    out = apply_hamiltonian(h, amps)
-    assert np.allclose(out, base.diag * amps, atol=0.0)
-
-
 def test_apply_matches_hand_value():
     h = build_hamiltonian(TwoModeParams(SJJ, 2, 2.0))
     out = apply_hamiltonian(h, np.array([1.0, 0.0, 0.0], dtype=complex))
@@ -189,3 +180,43 @@ def test_fock_state_leaves_the_callers_array_writeable():
     assert list(state.amps) == [1, 0, 0]
     with pytest.raises(ValueError, match="read-only"):
         state.amps[1] = 5
+
+
+
+_MIRROR_DIAG = [0.3, -1.0, 0.2, -1.0, 0.3]
+_MIRROR_OFF = [-0.4, -0.7, -0.7, -0.4]
+
+
+def _hand(diag, offdiag):
+    return lambda: TridiagonalHamiltonian(diag=np.array(diag), offdiag=np.array(offdiag),
+                                          params=TwoModeParams(BJJ, len(offdiag), 1.0))
+
+
+def _built(kind, n_total):  # built only, never solved
+    return lambda: build_hamiltonian(TwoModeParams(kind, n_total, 1.0))
+
+
+@pytest.mark.parametrize("make, error", [
+    (_hand([0.3, np.nextafter(-1.0, 0.0), 0.2, -1.0, 0.3], _MIRROR_OFF), "mirror symmetric"),
+    (_hand(_MIRROR_DIAG, [-0.4, -0.2, -0.7, -0.3]), "mirror symmetric"),
+    (_hand(_MIRROR_DIAG, [-0.4, 0.0, 0.0, -0.4]), "coupling must be < 0"),
+    (_hand(_MIRROR_DIAG, [-0.4, 0.7, 0.7, -0.4]), "coupling must be < 0"),
+    (_hand([0.5, 0.5], [0.25]), "coupling must be < 0"),
+    # a NaN is reported as such, though it also breaks the mirror
+    (_hand([0.3, math.nan, 0.2, -1.0, 0.3], _MIRROR_OFF), "must be finite"),
+    (_hand(_MIRROR_DIAG, [-0.4, math.nan, -0.7, -0.4]), "must be finite"),
+    (_hand(_MIRROR_DIAG, _MIRROR_OFF), None),
+    (_hand([0.5, 0.5], [-1.0]), None),
+    (_built(SJJ, 1), None),  # its one coupling is -0.0
+    (_built(BJJ, 1), None),
+    (_built(SJJ, model._MAX_N), None),
+    (_built(BJJ, model._MAX_N), None),
+], ids=["diag-one-ulp-off-mirror", "offdiag-off-mirror", "zero-coupling", "positive-coupling",
+        "positive-coupling-n1", "nan-diag", "nan-offdiag", "hand-assembled-mirror",
+        "negative-coupling-n1", "sjj-n1", "bjj-n1", "sjj-max-n", "bjj-max-n"])
+def test_hamiltonian_is_a_mirror_chain_with_negative_couplings(make, error):
+    if error is None:
+        make()
+    else:
+        with pytest.raises(ValueError, match=error):
+            make()

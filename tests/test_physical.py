@@ -104,7 +104,8 @@ def test_zero_tunneling_errors():
 
 def test_underflowing_derived_quantity_is_value_error():
     # from nonzero inputs, mass * omega_perp or kappa = tunnel_rate / omega_perp
-    # underflows to 0, which the conversions would divide by
+    # underflows to 0, which the conversions would divide by, or
+    # nu = omega_x / omega_perp does, which would read as no axial trap
     good = dict(a_sc=-1.4e-9, omega_x=439.8, omega_perp=4398.2, tunnel_rate=483.8, n_atoms=300,
                 mass=atomic_mass("li7"))
     with pytest.raises(ValueError, match="a_perp cannot be derived"):
@@ -112,6 +113,9 @@ def test_underflowing_derived_quantity_is_value_error():
     assert TrapParams(**{**good, "omega_perp": 1e-300}, a_perp=1.4e-6).kappa > 0
     with pytest.raises(ValueError, match="kappa = tunnel_rate / omega_perp underflows to 0"):
         TrapParams(**{**good, "tunnel_rate": 5e-324})
+    with pytest.raises(ValueError, match="nu = omega_x / omega_perp underflows to 0"):
+        TrapParams(**{**good, "omega_x": 5e-324})
+    assert TrapParams(**{**good, "omega_x": 0.0}).nu == 0.0
 
 
 def test_critical_atom_number():
