@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 # submodule's ``__all__`` reads its entry; ``sjj.<name>`` imports the
 # submodule on first access, and ``sjj.<submodule>`` works without an import.
 _EXPORTS = {
-    "model": ("ModelKind", "TwoModeParams", "TridiagonalHamiltonian", "FockState",
+    "model": ("ModelKind", "TridiagonalHamiltonian", "FockState",
               "build_hamiltonian", "apply_hamiltonian"),
     "eigensolve": ("Spectrum", "EigensolveError", "eigen_decompose", "eigenvalues",
                    "ground_state", "ground", "propagate", "energy_gap"),

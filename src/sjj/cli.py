@@ -21,11 +21,12 @@ floats are printed with 12 significant digits so identical configurations
 produce byte-identical files.  A JSON config file (--config) supplies
 defaults for any flag (keys are flag names with '-' replaced by '_');
 explicit flags win over the config file, which wins over built-ins.  Every
-flag is declared once, in _SPEC; _resolve stores each value as its flag's
-type, so a value echoes alike from a flag or the file.  A config value its
-flag does not admit (type, choices; an integer for a number flag must
-convert to a float), or a key that is no flag of any command, is a usage
-error naming the key and the file.  A --grid (start:stop:step, at most
+flag is declared once, in _SPEC.  argparse hands flag values over as
+strings; _resolve alone types and checks each value, so it echoes alike
+from a flag or the file, and one it does not admit (type, choices; an
+integer for a number flag must convert to a float) gets one usage error
+naming the flag, or the key and the file, as does a config key that is no
+flag of any command.  A --grid (start:stop:step, at most
 100,000 points: _MAX_GRID_POINTS) is read once, before any solve; a bad one
 is a usage error.  Sweeps evaluate their grid points in order on one
 thread; spectrum and hz still parse a --threads N, unlisted in --help and
@@ -243,12 +244,12 @@ def _cmd_spectrum(resolved: dict) -> None:
     import numpy as np
 
     from .eigensolve import eigenvalues
-    from .model import ModelKind, TwoModeParams, build_hamiltonian
+    from .model import ModelKind, build_hamiltonian
 
     grid = _parse_grid(resolved["grid"])
     kind = ModelKind(resolved["model"])
     n = resolved["n"]
-    energies = [eigenvalues(build_hamiltonian(TwoModeParams(kind, n, float(c)))) for c in grid]
+    energies = [eigenvalues(build_hamiltonian(kind, n, float(c))) for c in grid]
     _emit_table("spectrum", resolved, ["coupling", "k", "energy"], [
         np.repeat(grid, n + 1),
         np.tile(np.arange(n + 1), len(grid)),
@@ -495,7 +496,6 @@ def _option(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sjj",
@@ -509,8 +509,9 @@ def _build_parser() -> argparse.ArgumentParser:
             names = [_option(key)] if key != "output" else ["-o", "--output"]
             if flag.type is bool:
                 p.add_argument(*names, action=argparse.BooleanOptionalAction, help=flag.help)
-            else:
-                p.add_argument(*names, type=flag.type, choices=flag.choices, help=flag.help)
+            else:  # the string goes to _resolve, which types and checks every value
+                metavar = "{" + ",".join(flag.choices) + "}" if flag.choices else None
+                p.add_argument(*names, metavar=metavar, help=flag.help)
         if command in ("spectrum", "hz"):  # parse-only, for existing command lines
             p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON file with flag defaults")

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .model import (FockState, ModelKind, TridiagonalHamiltonian, TwoModeParams,
-                    apply_hamiltonian, build_hamiltonian)
+from .model import (FockState, ModelKind, TridiagonalHamiltonian, apply_hamiltonian,
+                    build_hamiltonian)
 
 __all__ = list(_EXPORTS["eigensolve"])
 
@@ -348,12 +348,12 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
     residual = float(np.max(np.abs(apply_hamiltonian(h, vec) - energy * vec)))
     if residual > _REBUILD_RESIDUAL * math.sqrt(dim) * max(1.0, abs(energy)):
         raise EigensolveError(f"rebuilt ground vector has residual {residual:.3g}")
-    return energy, FockState(vec.astype(complex))
+    return energy, FockState(vec)
 
 
 def ground(kind: ModelKind, n_total: int, coupling: float) -> tuple[float, FockState]:
     """Lowest eigenpair of the model Hamiltonian built at (kind, N, coupling)."""
-    return ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
+    return ground_state(build_hamiltonian(kind, n_total, coupling))
 
 
 def propagate(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
+from .hartree import _branch_squares
 from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
 
 __all__ = list(_EXPORTS["meanfield"])
@@ -160,15 +161,15 @@ def steady_states(Lambda: float) -> list[SteadyState]:
     """All fixed points of the flow at the given coupling.
 
     The balanced branch (0, 0) always exists.  The self-trapped pair
-    z = +-sqrt((1.21 - Lambda/2)/0.42) with theta = 0 exists for
-    1.58 < Lambda <= 2.42; the fully imbalanced pair z = +-1 with
-    cos(theta) = Lambda/1.58 exists for 0 < Lambda <= 1.58.
+    z = +-S with theta = 0, S = sqrt((2.42 - Lambda)/0.84) of the Hartree
+    S+- branch, exists for 1.58 < Lambda <= 2.42; the fully imbalanced pair
+    z = +-1 with cos(theta) = Lambda/1.58 exists for 0 < Lambda <= 1.58.
     """
     if Lambda < 0:
         raise ValueError(f"Lambda must be >= 0, got {Lambda}")
     out = [SteadyState(z=0.0, theta=0.0, branch="symmetric")]
     if _LAMBDA_LO < Lambda <= _LAMBDA_HI:
-        z = math.sqrt((_ONE_PLUS_FIT - Lambda / 2.0) / _TWICE_FIT)
+        z = math.sqrt(_branch_squares(Lambda)[1])
         out.append(SteadyState(z=+z, theta=0.0, branch="self-trapped+"))
         out.append(SteadyState(z=-z, theta=0.0, branch="self-trapped-"))
     if 0.0 < Lambda <= _LAMBDA_LO:

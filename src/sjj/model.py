@@ -21,8 +21,11 @@ derives the mean-field and Hartree constants from it.
 Both coefficient sets are mirror symmetric under n -> N-n and have
 couplings beta_n < 0 (beta_0 = -0.0 for SJJ at N = 1); the builder evaluates
 the lower half and reflects it so the symmetry holds bit-exactly.
-``TridiagonalHamiltonian`` checks both properties when it is constructed,
-so every eigensolver may split the chain into its even and odd blocks.
+A model is named by (kind, N, coupling), the three arguments of
+:func:`build_hamiltonian`.  ``TridiagonalHamiltonian`` holds only the two
+coefficient arrays, with N = len(diag) - 1; when it is constructed it checks
+their shapes and then both properties, so every eigensolver may split the
+chain into its even and odd blocks.
 """
 
 from __future__ import annotations
@@ -52,41 +55,6 @@ class ModelKind(enum.Enum):
     BJJ = "bjj"
 
 
-@dataclass(frozen=True)
-class TwoModeParams:
-    """Model parameters: kind, particle number N, dimensionless coupling.
-
-    ``coupling`` is Lambda for the SJJ model and lambda for the BJJ model;
-    it must be finite and >= 0, and N must lie in [1, _MAX_N].  An SJJ with
-    coupling 0 is accepted but triggers a warning: bright solitons do not
-    exist without nonlinearity, so that limit is formal.
-    """
-
-    kind: ModelKind
-    n_total: int
-    coupling: float
-
-    def __post_init__(self):
-        if self.n_total < 1:
-            raise ValueError(f"n_total must be >= 1, got {self.n_total}")
-        if self.n_total > _MAX_N:
-            raise ValueError(f"n_total must be at most {_MAX_N}, got {self.n_total}")
-        try:
-            finite = math.isfinite(self.coupling)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"coupling must be finite, got {self.coupling}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if self.kind is ModelKind.SJJ and self.coupling == 0:
-            warnings.warn(
-                "SJJ with coupling 0 is a formal limit: bright solitons "
-                "require nonzero nonlinearity",
-                stacklevel=3,  # past the dataclass __init__, to the caller
-            )
-
-
 def _read_only(values, dtype) -> np.ndarray:
     """A read-only copy of values, so no caller can write into a value class."""
     out = np.array(values, dtype=dtype)
@@ -99,29 +67,28 @@ class TridiagonalHamiltonian:
     """Symmetric tridiagonal Hamiltonian in units of kappa*N.
 
     ``diag`` holds alpha_n (length N+1), ``offdiag`` holds beta_n (length N)
-    coupling n and n+1.  Construction checks, in this order, that every
-    entry is finite (the LAPACK routines behind the eigensolvers do not
-    check, and return finite levels for a NaN entry), that the chain is
-    mirror symmetric, diag[n] == diag[N-n] and offdiag[n] == offdiag[N-1-n]
-    exactly, and that every coupling is < 0 (the one coupling of N = 1 may
-    be 0, as the SJJ one is), and raises ValueError naming the first that
-    fails.  Every eigensolver relies on this class of chain: it splits into
-    an even and an odd block, and its levels alternate in parity, even first.
-    Both arrays are stored as read-only copies, so the checks cannot be
-    undone afterwards.
+    coupling n and n+1; N is ``len(diag) - 1``.  Construction checks, in
+    this order, that both arrays are 1-D with len(diag) >= 2 and
+    len(offdiag) == len(diag) - 1, that every entry is finite (the LAPACK
+    routines behind the eigensolvers do not check, and return finite levels
+    for a NaN entry), that the chain is mirror symmetric, diag[n] ==
+    diag[N-n] and offdiag[n] == offdiag[N-1-n] exactly, and that every
+    coupling is < 0 (the one coupling of N = 1 may be 0, as the SJJ one is),
+    and raises ValueError naming the first that fails.  Every eigensolver
+    relies on this class of chain: it splits into an even and an odd block,
+    and its levels alternate in parity, even first.  Both arrays are stored
+    as read-only copies, so the checks cannot be undone afterwards.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    params: TwoModeParams
 
     def __post_init__(self):
         for name in ("diag", "offdiag"):
             object.__setattr__(self, name, _read_only(getattr(self, name), float))
-        if len(self.diag) != self.params.n_total + 1:
-            raise ValueError("diag must have length n_total + 1")
-        if len(self.offdiag) != self.params.n_total:
-            raise ValueError("offdiag must have length n_total")
+        if not (self.diag.ndim == self.offdiag.ndim == 1 and len(self.diag) >= 2
+                and len(self.offdiag) == len(self.diag) - 1):
+            raise ValueError("diag and offdiag must be 1-D, of lengths N + 1 >= 2 and N")
         if not (np.isfinite(self.diag).all() and np.isfinite(self.offdiag).all()):
             raise ValueError("diag and offdiag must be finite")
         if not (np.array_equal(self.diag, self.diag[::-1])
@@ -132,7 +99,7 @@ class TridiagonalHamiltonian:
 
     @property
     def n_total(self) -> int:
-        return self.params.n_total
+        return len(self.diag) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,22 +135,41 @@ def _mirror_fill(low: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def build_hamiltonian(params: TwoModeParams) -> TridiagonalHamiltonian:
-    """Evaluate the tridiagonal coefficients for the given model.
+def build_hamiltonian(kind: ModelKind, n_total: int, coupling: float) -> TridiagonalHamiltonian:
+    """The tridiagonal coefficients of the model (kind, N, coupling).
 
-    The diagonal carries the coupling; the off-diagonal is coupling
-    independent.  Lower-half evaluation plus reflection guarantees
-    diag[n] == diag[N-n] and offdiag[n] == offdiag[N-1-n] exactly.
+    ``coupling`` is Lambda for SJJ and lambda for BJJ.  Before allocating,
+    raises ValueError unless kind is a ModelKind (no string is converted),
+    1 <= N <= _MAX_N and the coupling is finite and >= 0; an SJJ at coupling
+    0, a formal limit (bright solitons need nonlinearity), warns.  Only the
+    diagonal carries the coupling.  Lower-half evaluation plus reflection
+    makes diag[n] == diag[N-n] and offdiag[n] == offdiag[N-1-n] exactly.
     """
-    N = params.n_total
-    c = params.coupling
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"kind must be a ModelKind, got {kind!r}")
+    if n_total < 1:
+        raise ValueError(f"n_total must be >= 1, got {n_total}")
+    if n_total > _MAX_N:
+        raise ValueError(f"n_total must be at most {_MAX_N}, got {n_total}")
+    try:
+        finite = math.isfinite(coupling)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"coupling must be finite, got {coupling}")
+    if coupling < 0:
+        raise ValueError(f"coupling must be >= 0, got {coupling}")
+    if kind is ModelKind.SJJ and coupling == 0:
+        warnings.warn("SJJ with coupling 0 is a formal limit: bright solitons "
+                      "require nonzero nonlinearity", stacklevel=2)
+    N = n_total
 
     n = np.arange(N // 2 + 1, dtype=float)
     x = 2.0 * n / N - 1.0
-    diag = _mirror_fill(-(c / 2.0) * x * x, N + 1)
+    diag = _mirror_fill(-(coupling / 2.0) * x * x, N + 1)
 
     j = np.arange((N - 1) // 2 + 1, dtype=float)
-    if params.kind is ModelKind.BJJ:
+    if kind is ModelKind.BJJ:
         low = -np.sqrt((j + 1.0) * (N - j)) / N
     else:
         w1 = 1.0 - _OVERLAP_FIT * (2.0 * j / N - 1.0) ** 2
@@ -193,7 +179,7 @@ def build_hamiltonian(params: TwoModeParams) -> TridiagonalHamiltonian:
         low = -(t1 + t2) / N**2
     offdiag = _mirror_fill(low, N)
 
-    return TridiagonalHamiltonian(diag=diag, offdiag=offdiag, params=params)
+    return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
 
 
 def apply_hamiltonian(h: TridiagonalHamiltonian, s: FockState | np.ndarray) -> np.ndarray:

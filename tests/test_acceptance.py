@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sjj
-from sjj import ModelKind, TwoModeParams
+from sjj import ModelKind
 from oracles import (
     dense_from_tridiagonal,
     jacobi_eigh,
@@ -42,7 +42,7 @@ def criterion(num: str, label: str, budget_s: float | None = None):
 
 
 def ground(kind, n_total, coupling):
-    _, state = sjj.ground_state(sjj.build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
+    _, state = sjj.ground_state(sjj.build_hamiltonian(kind, n_total, coupling))
     return state
 
 
@@ -62,7 +62,7 @@ def test_criterion_01_n2_closed_forms():
             for kind in (SJJ, BJJ):
                 for coupling in np.arange(0.0, 10.0 + 1e-9, 0.1):
                     spec = sjj.eigen_decompose(
-                        sjj.build_hamiltonian(TwoModeParams(kind, 2, float(coupling)))
+                        sjj.build_hamiltonian(kind, 2, float(coupling))
                     )
                     assert np.max(np.abs(spec.energies - closed_n2(kind, coupling))) <= 1e-12
 
@@ -74,7 +74,7 @@ def test_criterion_02_dense_oracle_equivalence():
             for kind in (SJJ, BJJ):
                 for n_total in range(1, 21):
                     for coupling in (0.0, 1.0, 2.0, 4.0):
-                        h = sjj.build_hamiltonian(TwoModeParams(kind, n_total, coupling))
+                        h = sjj.build_hamiltonian(kind, n_total, coupling)
                         dense = dense_from_tridiagonal(h.diag, h.offdiag)
                         spec = sjj.eigen_decompose(h)
                         w_ref, v_ref = jacobi_eigh(dense)

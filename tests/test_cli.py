@@ -614,6 +614,40 @@ def test_bad_config_value_is_usage_error(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("n", "1.5"), ("model", "SJJ"), ("coupling", "abc"),
+                                        ("format", "xml")])
+def test_bad_value_reads_alike_from_a_flag_and_the_config(key, value, tmp_path, capsys):
+    # argparse hands flag values over as strings: _resolve alone types and checks them
+    good = {"model": "sjj", "n": "10", "coupling": "1"}
+    others = [a for k, v in good.items() if k != key for a in (cli._option(k), v)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    errors = []
+    for extra, source in [([cli._option(key), value], cli._option(key)),
+                          (["--config", str(path)], f"'{key}' in config file {path}")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["ground", *others, *extra])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"sjj: error: {source} must be ")
+        errors.append(last.replace(source, "<source>"))
+    assert errors[0] == errors[1]
+
+
+def test_flag_choices_are_the_library_sets():
+    from sjj import ModelKind, observables, physical
+
+    library = {"model": {kind.value for kind in ModelKind},
+               "species": set(physical.SPECIES_MASS_U),
+               "criterion": set(observables._CROSSOVER_PREDICATES),
+               "format": {"csv", "json"}}
+    for command in cli._SPEC:
+        for key, flag in cli._flags(command).items():
+            assert (flag.choices is None) == (key not in library), (command, key)
+            if flag.choices is not None:
+                assert set(flag.choices) == library[key], (command, key)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_invocations_parse(seed, tmp_path):
     # every command line perfbench/workloads.py builds (the passes and the

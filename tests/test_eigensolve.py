@@ -11,7 +11,6 @@ from sjj import (
     FockState,
     ModelKind,
     TridiagonalHamiltonian,
-    TwoModeParams,
     build_hamiltonian,
     eigen_decompose,
     eigenvalues,
@@ -49,14 +48,14 @@ def closed_n2(coupling: float, x: float) -> np.ndarray:
 
 
 def test_n2_sjj_closed_form():
-    spec = eigen_decompose(build_hamiltonian(TwoModeParams(SJJ, 2, 2.0)))
+    spec = eigen_decompose(build_hamiltonian(SJJ, 2, 2.0))
     assert np.allclose(spec.energies, closed_n2(2.0, X_SJJ), atol=1e-12)
     # the commonly quoted rounded values use X ~= 2.5 instead of 2.4964
     assert np.allclose(spec.energies, [-1.137377, -1.0, 0.137377], atol=5e-4)
 
 
 def test_n2_bjj_zero_coupling():
-    spec = eigen_decompose(build_hamiltonian(TwoModeParams(BJJ, 2, 0.0)))
+    spec = eigen_decompose(build_hamiltonian(BJJ, 2, 0.0))
     assert np.allclose(spec.energies, [-1.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -67,7 +66,7 @@ def test_jacobi_oracle_small(kind, coupling):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n_total in (2, 7, 16):
-            h = build_hamiltonian(TwoModeParams(kind, n_total, coupling))
+            h = build_hamiltonian(kind, n_total, coupling)
             spec = eigen_decompose(h)
             w_ref, _ = jacobi_eigh(dense_from_tridiagonal(h.diag, h.offdiag))
             assert np.allclose(spec.energies, w_ref, atol=1e-10)
@@ -75,7 +74,7 @@ def test_jacobi_oracle_small(kind, coupling):
 
 @pytest.mark.parametrize("coupling", [0.5, 2.0, 2.001, 4.0])
 def test_spectrum_invariants_n300(coupling):
-    h = build_hamiltonian(TwoModeParams(SJJ, 300, coupling))
+    h = build_hamiltonian(SJJ, 300, coupling)
     spec = eigen_decompose(h)
     dense = dense_from_tridiagonal(h.diag, h.offdiag)
     resid = dense @ spec.vectors - spec.vectors * spec.energies
@@ -87,7 +86,7 @@ def test_spectrum_invariants_n300(coupling):
 
 
 def test_sign_convention_and_determinism():
-    h = build_hamiltonian(TwoModeParams(SJJ, 40, 2.5))
+    h = build_hamiltonian(SJJ, 40, 2.5)
     a = eigen_decompose(h)
     b = eigen_decompose(h)
     assert np.array_equal(a.energies, b.energies)
@@ -102,7 +101,7 @@ def test_sign_convention_and_determinism():
 def test_parity_of_eigenvectors(kind, coupling):
     # H commutes with the mirror n -> N-n, so after doublet handling every
     # eigenvector is symmetric or antisymmetric
-    h = build_hamiltonian(TwoModeParams(kind, 120, coupling))
+    h = build_hamiltonian(kind, 120, coupling)
     spec = eigen_decompose(h)
     for k in range(spec.dimension):
         v = spec.vectors[:, k]
@@ -113,7 +112,7 @@ def test_parity_of_eigenvectors(kind, coupling):
 def test_ground_state_weak_coupling_unimodal():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        h = build_hamiltonian(TwoModeParams(SJJ, 300, 0.0))
+        h = build_hamiltonian(SJJ, 300, 0.0)
     _, state = ground_state(h)
     p = state.probabilities
     assert np.argmax(p) == 150
@@ -121,7 +120,7 @@ def test_ground_state_weak_coupling_unimodal():
 
 
 def test_ground_state_strong_coupling_edges():
-    _, state = ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, 4.0)))
+    _, state = ground_state(build_hamiltonian(SJJ, 300, 4.0))
     p = state.probabilities
     assert 0.45 <= p[0] <= 0.5
     assert 0.45 <= p[300] <= 0.5
@@ -132,7 +131,7 @@ def test_ground_state_strong_coupling_edges():
 
 def test_ground_state_symmetry_and_positivity():
     for coupling in (0.5, 2.0, 2.001):
-        _, state = ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, coupling)))
+        _, state = ground_state(build_hamiltonian(SJJ, 300, coupling))
         p = state.probabilities
         assert np.max(np.abs(p - p[::-1])) <= 1e-8
         amps = state.amps.real
@@ -144,7 +143,7 @@ def test_ground_state_symmetry_and_positivity():
 def _built(kind, n_total, coupling):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # SJJ at coupling 0
-        return build_hamiltonian(TwoModeParams(kind, n_total, coupling))
+        return build_hamiltonian(kind, n_total, coupling)
 
 
 @pytest.mark.parametrize("kind", [SJJ, BJJ])
@@ -197,13 +196,13 @@ def test_ground_state_rebuild_disagreement_raises(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_sturm_eigenvalue", perturbed)
     with pytest.raises(eigensolve.EigensolveError, match="rebuilt ground vector"):
-        ground_state(build_hamiltonian(TwoModeParams(SJJ, 40, 1.0)))
+        ground_state(build_hamiltonian(SJJ, 40, 1.0))
 
 
 def test_even_ground_vector_rejects_an_excited_energy():
     # at the second even level the recurrence changes sign; without the
     # guard the logs of the ratios would give a NaN vector
-    h = build_hamiltonian(TwoModeParams(SJJ, 30, 1.0))
+    h = build_hamiltonian(SJJ, 30, 1.0)
     even, _ = eigensolve._sectors(h)
     peak = eigensolve._twist_index(*even, eigensolve._sturm_eigenvalue(*even), 0.5)
     excited = float(eigensolve._tridiagonal(*even)[1])
@@ -213,7 +212,7 @@ def test_even_ground_vector_rejects_an_excited_energy():
 
 @pytest.mark.parametrize("kind", [SJJ, BJJ])
 def test_ground_state_n1(kind):
-    h = build_hamiltonian(TwoModeParams(kind, 1, 1.3))
+    h = build_hamiltonian(kind, 1, 1.3)
     energy, state = ground_state(h)
     assert np.allclose(state.amps.real, [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert abs(energy - (h.diag[0] - abs(h.offdiag[0]))) <= 1e-12
@@ -230,7 +229,7 @@ def test_ground_state_n1_through_recurrence(kind, coupling, monkeypatch):
     monkeypatch.setattr(eigensolve, "eigen_decompose", full_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
-        h = build_hamiltonian(TwoModeParams(kind, 1, coupling))
+        h = build_hamiltonian(kind, 1, coupling)
     energy, state = ground_state(h)
     assert np.array_equal(state.amps, np.full(2, 1.0 / math.sqrt(2.0), dtype=complex))
     (even_diag, even_off), _ = eigensolve._sectors(h)
@@ -239,7 +238,7 @@ def test_ground_state_n1_through_recurrence(kind, coupling, monkeypatch):
 
 
 def test_propagate_zero_time(rng):
-    h = build_hamiltonian(TwoModeParams(BJJ, 12, 1.0))
+    h = build_hamiltonian(BJJ, 12, 1.0)
     amps = rng.normal(size=13) + 1j * rng.normal(size=13)
     s0 = FockState(amps / np.linalg.norm(amps))
     out = propagate(h, s0, 0.0)
@@ -247,7 +246,7 @@ def test_propagate_zero_time(rng):
 
 
 def test_propagate_eigenvector_global_phase():
-    h = build_hamiltonian(TwoModeParams(SJJ, 9, 1.7))
+    h = build_hamiltonian(SJJ, 9, 1.7)
     spec = eigen_decompose(h)
     k = 3
     s0 = FockState(spec.vectors[:, k].astype(complex))
@@ -259,7 +258,7 @@ def test_propagate_eigenvector_global_phase():
 
 
 def test_propagate_matches_rk4_oracle(rng):
-    h = build_hamiltonian(TwoModeParams(SJJ, 20, 2.0))
+    h = build_hamiltonian(SJJ, 20, 2.0)
     amps = rng.normal(size=21) + 1j * rng.normal(size=21)
     amps /= np.linalg.norm(amps)
     s0 = FockState(amps)
@@ -271,7 +270,7 @@ def test_propagate_matches_rk4_oracle(rng):
 
 
 def test_energy_gap_n2_closed_forms():
-    h = build_hamiltonian(TwoModeParams(SJJ, 2, 2.0))
+    h = build_hamiltonian(SJJ, 2, 2.0)
     ref = closed_n2(2.0, X_SJJ)
     assert abs(energy_gap(h) - (ref[1] - ref[0])) <= 1e-12
     assert abs(energy_gap(h) - 0.137377) <= 5e-4
@@ -281,7 +280,7 @@ def test_energy_gap_bjj_large_coupling():
     # exact: gap = 4/(lam + sqrt(lam^2 + 16)); the large-coupling asymptote
     # is therefore 2/lam
     lam = 100.0
-    gap = energy_gap(build_hamiltonian(TwoModeParams(BJJ, 2, lam)))
+    gap = energy_gap(build_hamiltonian(BJJ, 2, lam))
     assert abs(gap - 4.0 / (lam + math.sqrt(lam**2 + 16.0))) <= 1e-12
     assert abs(gap - 2.0 / lam) <= 0.01 * (2.0 / lam)
 
@@ -301,7 +300,7 @@ def test_envelope_continuity():
     grid = np.arange(1.5, 2.5 + 1e-9, 0.01)
     lo, hi = [], []
     for coupling in grid:
-        spec = eigen_decompose(build_hamiltonian(TwoModeParams(SJJ, 300, coupling)))
+        spec = eigen_decompose(build_hamiltonian(SJJ, 300, coupling))
         lo.append(spec.energies[0])
         hi.append(spec.energies[-1])
     step = grid[1] - grid[0]
@@ -330,7 +329,7 @@ def test_eigenvalues_match_dense_and_full_solve(kind, coupling):
 
 
 def test_eigenvalues_ascending_and_read_only():
-    energies = eigenvalues(build_hamiltonian(TwoModeParams(SJJ, 300, 8.0)))
+    energies = eigenvalues(build_hamiltonian(SJJ, 300, 8.0))
     assert np.all(np.diff(energies) >= 0.0)
     assert not energies.flags.writeable
     with pytest.raises(ValueError):
@@ -376,7 +375,7 @@ def test_eigen_decompose_ground_column_even_when_odd_level_computes_lower():
     # the ground pair is a doublet below double precision here, and the odd
     # block's lowest level computes ~1e-15 below the even block's: merging
     # the blocks by sorting on energy would put the odd vector in column 0
-    h = build_hamiltonian(TwoModeParams(SJJ, 40, 2.7))
+    h = build_hamiltonian(SJJ, 40, 2.7)
     even, odd = eigensolve._sectors(h)
     assert scipy.linalg.eigh_tridiagonal(*odd)[0][0] < scipy.linalg.eigh_tridiagonal(*even)[0][0]
     column = eigen_decompose(h).vectors[:, 0]
@@ -462,7 +461,7 @@ def test_ground_is_ground_state_of_built_chain(kind, n_total):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # SJJ at coupling 0
             energy, state = ground(kind, n_total, coupling)
-            ref_energy, ref = ground_state(build_hamiltonian(TwoModeParams(kind, n_total, coupling)))
+            ref_energy, ref = ground_state(build_hamiltonian(kind, n_total, coupling))
         assert energy == ref_energy
         assert np.array_equal(state.amps, ref.amps)
 
@@ -511,7 +510,7 @@ def test_lapack_info_raises_eigensolve_error(routine, solve, monkeypatch):
     call = getattr(lapack, routine)
     monkeypatch.setattr(lapack, routine, lambda *args, **kw: (*call(*args, **kw)[:-1], 1))
     with pytest.raises(eigensolve.EigensolveError, match=f"{routine} failed with info = 1"):
-        solve(build_hamiltonian(TwoModeParams(BJJ, 10, 1.0)))
+        solve(build_hamiltonian(BJJ, 10, 1.0))
 
 
 @pytest.mark.parametrize("solve", [eigenvalues, eigen_decompose, ground_state, energy_gap])
@@ -519,8 +518,8 @@ def test_lapack_info_raises_eigensolve_error(routine, solve, monkeypatch):
                                         ("diag", math.inf), ("offdiag", -math.inf)])
 def test_non_finite_hamiltonian_rejected(solve, where, bad):
     # LAPACK sterf would return finite levels for a NaN entry
-    h = build_hamiltonian(TwoModeParams(BJJ, 4, 1.0))
+    h = build_hamiltonian(BJJ, 4, 1.0)
     entries = {"diag": h.diag.copy(), "offdiag": h.offdiag.copy()}
     entries[where][1] = bad
     with pytest.raises(ValueError, match="must be finite"):
-        solve(TridiagonalHamiltonian(params=h.params, **entries))
+        solve(TridiagonalHamiltonian(**entries))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sjj import (
     HartreeSolution,
     ModelKind,
-    TwoModeParams,
     apply_hamiltonian,
     build_hamiltonian,
     cat_overlap,
@@ -19,7 +18,7 @@ from sjj import (
     stationary_solutions,
     steady_states,
 )
-from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
+from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _mean_field_energy
 from oracles import mp_cat_amplitudes
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -166,7 +165,7 @@ def test_hartree_limit_of_quantum_energy(n_total):
     # the balanced coherent state's quantum mean energy approaches the
     # variational value -kappa*N as N grows, within 5/N relative
     s = coherent_fock_amplitudes(R2, R2, n_total)
-    h = build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 2.0))
+    h = build_hamiltonian(ModelKind.SJJ, n_total, 2.0)
     energy = float(np.real(np.vdot(s.amps, apply_hamiltonian(h, s))))
     assert abs(energy - (-1.0)) <= 5.0 / n_total
 
@@ -211,10 +210,9 @@ def _check_window(Lambda, n_total):
         s = branches(Lambda)["S+"].s
         assert math.isfinite(s) and s == math.sqrt(max(0.0, s2))
     if Lambda > _LAMBDA_LO:
-        z2 = (1.0 + _OVERLAP_FIT - Lambda / 2.0) / (2.0 * _OVERLAP_FIT)
-        assert z2 >= 0.0
+        # the mean-field self-trapped point is the Hartree imbalance S+
         z = {s.branch: s for s in steady_states(Lambda)}["self-trapped+"].z
-        assert math.isfinite(z) and z == math.sqrt(max(0.0, z2))
+        assert z == (branches(Lambda)["S+"].s if Lambda < _LAMBDA_HI else 0.0)
 
 
 @pytest.mark.parametrize("n_total", [1, 300, 10**300])

@@ -9,7 +9,6 @@ from sjj import (
     FockState,
     LossChannel,
     ModelKind,
-    TwoModeParams,
     ZeroProbabilityBranchError,
     bs_coefficient,
     build_hamiltonian,
@@ -176,7 +175,7 @@ def test_mixture_mirror_pairs_ordered_by_loss_counts(n_total, coupling):
     # p(l_a, l_b) = p(l_b, l_a) exactly for a mirror-symmetric state and
     # eta_a = eta_b, so the (l_a, l_b) tie-break, not rounding, must order
     # every mirror pair
-    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, coupling)))
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, n_total, coupling))
     assert np.array_equal(g.probabilities, g.probabilities[::-1])
     mix = loss_mixture(g, LossChannel(0.97, 0.97))
     position = {(b.l_a, b.l_b): i for i, b in enumerate(mix)}
@@ -188,7 +187,7 @@ def test_mixture_mirror_pairs_ordered_by_loss_counts(n_total, coupling):
 def test_ground_state_mixture_structure():
     # strongly coupled soliton ground state: the lossless branch dominates
     # and equal-loss branches stay N00N-like
-    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 300, 4.0)))
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
     mix = loss_mixture(g, LossChannel(0.999, 0.999), p_min=1e-6)
     assert (mix[0].l_a, mix[0].l_b) == (0, 0)
     by_loss = {(b.l_a, b.l_b): b for b in mix}
@@ -228,7 +227,7 @@ def test_kernel_matches_mp_oracle(rng, n_total, eta):
     ch = LossChannel(*eta)
     states = [FockState(random_state(rng, n_total)), tailed_state(rng, n_total)]
     if n_total >= 2:
-        states.append(ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 4.0)))[1])
+        states.append(ground_state(build_hamiltonian(ModelKind.SJJ, n_total, 4.0))[1])
     for s in states:
         ref = mp_loss_rows(s.amps, *eta)
         ref_prob = ref.sum(axis=-1)
@@ -343,7 +342,7 @@ def test_scan_floor_skips_only_branches_below_it(n_total, eta, state, rng):
     if state == "random":
         s = FockState(random_state(rng, n_total))
     else:
-        s = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, n_total, 4.0)))[1]
+        s = ground_state(build_hamiltonian(ModelKind.SJJ, n_total, 4.0))[1]
     k = losses._kernel(s, LossChannel(*eta))
     assert k.mirror == (state == "ground" and eta[0] == eta[1])
     skipped = assert_floor_scan_exact(k, floors=(0.0, 1e-100, 1e-6))
@@ -356,7 +355,7 @@ def test_scan_floor_keeps_mirror_pairs_together():
     # in exact arithmetic but round differently; a floor at twice either
     # one of a differing pair would keep l on one side and skip it on the
     # other, and the symmetrised P would halve the one branch computed
-    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 60, 4.0)))
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 60, 4.0))
     k = losses._kernel(g, LossChannel(0.97, 0.97))
     assert k.mirror
     pa, pb = losses._marginals(k)
@@ -377,7 +376,7 @@ def test_mixture_floor_is_a_cut(eta, state, rng):
     if state == "random":
         s = FockState(random_state(rng, 40))
     else:
-        s = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 40, 4.0)))[1]
+        s = ground_state(build_hamiltonian(ModelKind.SJJ, 40, 4.0))[1]
     ch = LossChannel(*eta)
     full = loss_mixture(s, ch)
     for p_min in (1e-100, 1e-6, 1e-3, 0.5):
@@ -401,7 +400,7 @@ def test_readme_loss_scan_work_bounded(monkeypatch):
             counted.append(np.size(x))
             return np.exp(x, *args, **kwargs)
 
-    _, g = ground_state(build_hamiltonian(TwoModeParams(ModelKind.SJJ, 300, 4.0)))
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
     monkeypatch.setattr(losses, "np", CountingNumpy())
     traced_mixture(g, LossChannel(0.999, 0.999), row_min=1e-100)
     assert sum(counted) <= 1_000_000

@@ -10,7 +10,6 @@ from sjj import (
     FockState,
     LossChannel,
     ModelKind,
-    TwoModeParams,
     UndefinedCriterionError,
     build_hamiltonian,
     cat_state,
@@ -79,8 +78,8 @@ def test_casimir_identity_everywhere(rng):
         coherent_fock_amplitudes(0.6, 0.8, 120),
         noon_state(80),
         cat_state(2.0, 60),
-        ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, 2.001)))[1],
-        ground_state(build_hamiltonian(TwoModeParams(BJJ, 300, 1.0)))[1],
+        ground_state(build_hamiltonian(SJJ, 300, 2.001))[1],
+        ground_state(build_hamiltonian(BJJ, 300, 1.0))[1],
     ]
     ch = LossChannel(0.99, 0.98)
     states.append(conditional_state(states[0], 2, 1, ch).state)
@@ -179,7 +178,7 @@ def test_planar_squeezing_cases():
     ps = planar_squeezing(noon_state(50))
     assert ps.j_parallel <= 1e-12
     assert not ps.squeezed
-    _, g = ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, 1.5)))
+    _, g = ground_state(build_hamiltonian(SJJ, 300, 1.5))
     assert planar_squeezing(g).squeezed
 
 
@@ -187,7 +186,7 @@ def test_steering_window_near_crossover():
     # the first-order witness sits below the steering bound 0.5 just before
     # the ground-state crossover
     for coupling in (1.9, 1.95, 2.0):
-        _, g = ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, coupling)))
+        _, g = ground_state(build_hamiltonian(SJJ, 300, coupling))
         assert hz_criterion(g, 1) < 0.5
 
 
@@ -196,7 +195,7 @@ def test_highest_order_witness_approaches_noon_value():
     # the order-N witness approaches 0.5 from above
     vals = []
     for coupling in (2.1, 3.0, 4.0):
-        _, g = ground_state(build_hamiltonian(TwoModeParams(SJJ, 300, coupling)))
+        _, g = ground_state(build_hamiltonian(SJJ, 300, coupling))
         vals.append(hz_criterion(g, 300))
     assert all(v > 0.5 for v in vals)
     assert vals[0] > vals[1] > vals[2]
@@ -232,7 +231,7 @@ def test_cj_scan_consistency():
     grid = np.arange(0.8, 1.3 + 1e-9, 0.05)
     res = cj_scan(BJJ, 50, grid)
     coarse = min(
-        hz_criterion(ground_state(build_hamiltonian(TwoModeParams(BJJ, 50, float(c))))[1], 1)
+        hz_criterion(ground_state(build_hamiltonian(BJJ, 50, float(c)))[1], 1)
         for c in grid
     )
     assert res.c_j <= coarse

@@ -3,6 +3,8 @@
 The commands are read from the README itself, so the list has one home.
 Each output's sha256 is pinned in readme_outputs.json; a change to any
 printed digit of a README command shows up here and must be deliberate.
+The table commands are also run with --format json, written beside the CSV
+under the same stem (ground.json), and those bytes are pinned too.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "readme_outputs.json").read_text())
 # the last digits of spectrum come from the LAPACK build's rounding of sterf
 LAPACK_DEPENDENT = {"spectrum"}
+# table commands whose --format json bytes are pinned as well
+JSON_TABLES = {"ground", "hz", "meanfield", "losses"}
 
 
 def readme_commands() -> list[list[str]]:
@@ -33,17 +37,30 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
+def output(argv: list[str]) -> str:
+    return argv[argv.index("-o") + 1]
+
+
+def as_json(argv: list[str]) -> list[str]:
+    """The command with --format json, writing <stem>.json for <stem>.csv."""
+    at = argv.index("-o") + 1
+    return [*argv[:at], str(Path(argv[at]).with_suffix(".json")), *argv[at + 1:],
+            "--format", "json"]
+
+
 COMMANDS = readme_commands()
+RUNS = COMMANDS + [as_json(argv) for argv in COMMANDS if argv[0] in JSON_TABLES]
 
 
 def test_every_readme_output_is_pinned():
-    names = {argv[argv.index("-o") + 1] for argv in COMMANDS}
-    skipped = {argv[argv.index("-o") + 1] for argv in COMMANDS if argv[0] in LAPACK_DEPENDENT}
-    assert len(names) == len(COMMANDS) >= 9
+    names = {output(argv) for argv in RUNS}
+    skipped = {output(argv) for argv in RUNS if argv[0] in LAPACK_DEPENDENT}
+    assert len(COMMANDS) >= 9 and JSON_TABLES <= {argv[0] for argv in COMMANDS}
+    assert len(names) == len(RUNS)
     assert set(GOLDEN) == names - skipped
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[argv.index("-o") + 1])
+@pytest.mark.parametrize("argv", RUNS, ids=output)
 def test_readme_output_bytes(argv, tmp_path):
     if argv[0] in LAPACK_DEPENDENT:
         pytest.skip(f"{argv[0]}: its last digits depend on the LAPACK build")
