@@ -4,9 +4,9 @@ Subcommands
 -----------
 spectrum    all eigenvalues over a coupling grid (CSV: coupling,k,energy)
 ground      ground-state distribution (CSV: n,prob,amp)
-hz          entanglement witnesses over a grid with automatic refinement
-            around the first-order minimum (CSV: coupling,hz1,hzN,
-            delta_parallel,j_parallel)
+hz          entanglement witnesses over a grid, refined around the
+            first-order minimum; each coupling solved once, at its printed
+            value (CSV: coupling,hz1,hzN,delta_parallel,j_parallel)
 meanfield   fixed-step trajectory (CSV: tau,z,theta,h,drift)
 losses      beam-splitter loss branches of the ground state, traced (CSV:
             la,lb,n,prob; rows below 1e-100 are not printed) or a single
@@ -54,13 +54,14 @@ output (RFC 8259) never holds NaN or Infinity: a non-finite value to be
 written, also one echoed from the configuration, is a domain error naming
 its key.
 
-Exit codes: 0 success, 2 usage error, 3 domain error or a --la/--lb branch
-of probability 0, 4 numerical failure, 141 stdout closed by its reader (128
-+ SIGPIPE, as a shell reports for coreutils; nothing is printed).  A traced
-losses table that no branch reaches exits 0 with no row.  A UserWarning that a
-command raises (SJJ at coupling 0) is printed once per distinct message as
-'sjj <command>: warning: <message>', without the source path and line a
-Python warning quotes, so stderr does not depend on where sjj is installed.
+Exit codes: 0 success, 2 usage error (the command's usage, then 'sjj
+<command>: error: ...'), 3 domain error or a --la/--lb branch of probability
+0, 4 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports for coreutils; nothing is printed).  A traced losses table that
+no branch reaches exits 0 with no row.  A UserWarning that a command raises
+(SJJ at coupling 0) is printed once per distinct message as 'sjj <command>:
+warning: <message>', without the source path and line a Python warning quotes,
+so stderr does not depend on where sjj is installed.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ _DOMAIN_ERRORS = (ValueError,)
 
 
 class _UsageError(ValueError):
-    """A bad command line or config file: exit 2 with the parser's usage line."""
+    """A bad command line or config file: exit 2 with its command's usage line."""
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
@@ -282,22 +283,17 @@ def _cmd_hz(resolved: dict) -> None:
     kind = ModelKind(resolved["model"])
     n = resolved["n"]
 
-    # couplings are keyed at 1e-12 resolution so refinement levels cannot
-    # produce near-duplicate rows that collide at the printed precision
     rows: dict[float, tuple] = {}
 
-    def hz1_cached(coupling: float) -> float:
-        c = round(coupling, 12)
-        if c not in rows:
-            _, state = ground(kind, n, c)
-            sq = planar_squeezing(state)
-            rows[c] = (c, hz_criterion(state, 1), hz_criterion(state, n),
-                       sq.delta_parallel, sq.j_parallel)
-        return rows[c][1]
+    def hz1(coupling: float) -> float:
+        _, state = ground(kind, n, coupling)
+        sq = planar_squeezing(state)
+        rows[coupling] = (coupling, hz_criterion(state, 1), hz_criterion(state, n),
+                          sq.delta_parallel, sq.j_parallel)
+        return rows[coupling][1]
 
-    # checks refine_to and the grid, then scans it; an infinite floor refines nothing
-    refine_minimum(hz1_cached, grid,
-                   refine_to=resolved["refine_to"] if resolved["refine"] else math.inf)
+    # checks refine_to and the grid first; an infinite floor refines nothing
+    refine_minimum(hz1, grid, refine_to=resolved["refine_to"] if resolved["refine"] else math.inf)
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
                 list(np.array([rows[c] for c in sorted(rows)]).T))
@@ -515,6 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if command in ("spectrum", "hz"):  # parse-only, for existing command lines
             p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON file with flag defaults")
+        p.set_defaults(error=p.error)  # usage errors read like argparse's own for the command
     return parser
 
 
@@ -591,8 +588,7 @@ def _warning_printer(command: str) -> Callable:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = args.command
     try:
         resolved = _resolve(command, args)
@@ -605,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     except _DOMAIN_ERRORS as exc:
         print(f"sjj {command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -201,15 +201,17 @@ def _scan(
     return prob, tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _branch(k: _Kernel, l_a: int, l_b: int, probability: float | None = None) -> ConditionalState:
-    """Conditional state of one branch from its slice of the kernel; the
-    probability is the row sum unless given."""
+def _branch(k: _Kernel, l_a: int, l_b: int) -> ConditionalState:
+    """Conditional state of one branch from its slice of the kernel, with
+    :func:`_scan`'s probability bits: rows summed over n <= N - l_a, the
+    mean of the two sums for a mirror pair."""
     N = len(k.log_p) - 1
+    pairs = [(l_a, l_b), (l_b, l_a)] if k.mirror else [(l_a, l_b)]
+    probability = float(np.mean([np.exp(k.log_ta[a, : N - a + 1] + k.log_tb[b, : N - a + 1]
+                                        + k.log_p[: N - a + 1]).sum() for a, b in pairs]))
     n = slice(l_b, N - l_a + 1)
     log_w = k.log_ta[l_a, n] + k.log_tb[l_b, n]
     log_rows = log_w + k.log_p[n]
-    if probability is None:
-        probability = float(np.sum(np.exp(log_rows)))
     if probability == 0.0:
         raise ZeroProbabilityBranchError(
             f"detection event (l_a={l_a}, l_b={l_b}) has zero probability"
@@ -230,7 +232,7 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
 
     Unnormalized amplitudes A_n sqrt(B^n_{l_a,l_b}) over n in [l_b, N-l_a],
     re-indexed to the (N - l_a - l_b)-particle basis; the branch probability
-    is sum_n |A_n|^2 B^n, the sum of the branch's traced rows.  A
+    is sum_n |A_n|^2 B^n, the sum of the branch's traced rows, bit for bit.  A
     zero-probability branch (an impossible detection event, e.g.
     simultaneous loss from both modes of an ideal N00N state) raises
     :class:`ZeroProbabilityBranchError`.
@@ -263,8 +265,8 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
     k = _kernel(s, ch)
     prob, _ = _scan(k, math.inf, floor=p_min)
     la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
-    order = np.lexsort((lb, la, -prob[la, lb]))
-    return [_branch(k, a, b, float(prob[a, b])) for a, b in zip(la[order].tolist(), lb[order].tolist())]
+    order = np.argsort(-prob[la, lb], kind="stable")  # ties stay in (l_a, l_b) order
+    return [_branch(k, a, b) for a, b in zip(la[order].tolist(), lb[order].tolist())]
 
 
 class TracedRows(NamedTuple):

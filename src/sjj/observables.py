@@ -199,9 +199,11 @@ def refine_minimum(
     Scans the given grid, then repeatedly subdivides a one-step bracket
     around the current argmin into 21 points until the local step drops
     below refine_to, which must be >= 0; refine_to = inf scans the grid only.
-    Returns (x_min, f_min, all x evaluated).  The minimum of the witness
-    sits in an extremely narrow coupling window for the soliton model, which
-    is what the refinement is for.
+    Each point x is keyed float("%.12g" % round(x, 12)), the coarser of 12
+    decimals and the 12 digits the CLI prints; f gets each key once, in scan
+    order, brackets centre on a key and the argmin is np.argmin's first
+    (NaN included).  Returns (x_min, f_min, the keys in call order).  The
+    soliton model's witness minimum sits in an extremely narrow window.
     """
     if not refine_to >= 0.0:
         raise ValueError(f"refine_to must be >= 0, got {refine_to}")
@@ -210,25 +212,24 @@ def refine_minimum(
         raise ValueError("grid must be nonempty")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    evaluated: list[float] = []
+    values: dict[float, float] = {}
 
-    def eval_all(xs: np.ndarray) -> np.ndarray:
-        evaluated.extend(float(x) for x in xs)
-        return np.array([f(float(x)) for x in xs])
+    def argmin(xs: np.ndarray) -> tuple[float, float]:
+        keys = [float("%.12g" % round(x, 12)) for x in xs.tolist()]
+        values.update({key: f(key) for key in dict.fromkeys(keys) if key not in values})
+        i = int(np.argmin([values[key] for key in keys]))
+        return keys[i], float(values[keys[i]])
 
-    vals = eval_all(grid)
-    i = int(np.argmin(vals))
-    best_x, best_v = float(grid[i]), float(vals[i])
+    best_x, best_v = argmin(grid)
     step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     while step > refine_to:
         sub = np.linspace(best_x - step, best_x + step, 21)
         sub = sub[sub >= 0.0]
-        sv = eval_all(sub)
-        j = int(np.argmin(sv))
-        if sv[j] < best_v:
-            best_x, best_v = float(sub[j]), float(sv[j])
+        x, v = argmin(sub)
+        if v < best_v:
+            best_x, best_v = x, v
         step = float(sub[1] - sub[0])
-    return best_x, best_v, evaluated
+    return best_x, best_v, list(values)
 
 
 def cj_scan(kind: ModelKind, n_total: int, grid: np.ndarray, refine_to: float = 1e-5) -> CJScanResult:

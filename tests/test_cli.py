@@ -117,6 +117,16 @@ def test_hz_refinement(tmp_path):
     assert data[:, 1].min() <= coarse[:, 1].min()
 
 
+def test_hz_refinement_to_zero_prints_each_coupling_once(tmp_path):
+    # the refinement keys each coupling at the printed resolution, so the
+    # levels below it add no row that prints as an earlier one
+    rc, f = run(tmp_path, "hz.csv", ["hz", "--model", "sjj", "--n", "10", "--grid",
+                                     "1.9:2.1:0.01", "--refine-to", "0"])
+    assert rc == 0
+    _, data = read_csv(f)
+    assert np.all(np.diff(data[:, 0]) > 0.0)
+
+
 def test_meanfield_fixed_point(tmp_path):
     z0 = repr(math.sqrt(0.5))
     rc, f = run(tmp_path, "mf.csv",
@@ -628,8 +638,10 @@ def test_bad_value_reads_alike_from_a_flag_and_the_config(key, value, tmp_path, 
         with pytest.raises(SystemExit) as exc:
             main(["ground", *others, *extra])
         assert exc.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"sjj: error: {source} must be ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sjj ground ")  # the command's usage, as argparse's own
+        last = err.splitlines()[-1]
+        assert last.startswith(f"sjj ground: error: {source} must be ")
         errors.append(last.replace(source, "<source>"))
     assert errors[0] == errors[1]
 
@@ -1035,16 +1047,20 @@ def _assert_valid_output(path: Path) -> None:
     if not text.startswith("#"):  # JSON: a table or an object
         obj = json.loads(text, parse_constant=_finite)
         jsonschema.validate(obj, SCHEMA, cls=jsonschema.Draft202012Validator)
-        return
-    comment, header, *rows = text.splitlines()
-    assert comment.startswith("# sjj ")
-    json.loads(comment.split(" ", 3)[3], parse_constant=_finite)
-    width = len(header.split(","))
-    for row in rows:
-        fields = row.split(",")
-        assert len(fields) == width, row
-        for field in fields:
-            _finite(field)
+        command, couplings = obj["command"], [row[0] for row in obj.get("rows", [])]
+    else:
+        comment, header, *rows = text.splitlines()
+        assert comment.startswith("# sjj ")
+        command = json.loads(comment.split(" ", 3)[3], parse_constant=_finite)["command"]
+        width = len(header.split(","))
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == width, row
+            for field in fields:
+                _finite(field)
+        couplings = [float(row.split(",")[0]) for row in rows]
+    if command == "hz":  # each coupling solved and printed once
+        assert all(a < b for a, b in zip(couplings, couplings[1:])), couplings
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

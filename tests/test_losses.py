@@ -184,6 +184,21 @@ def test_mixture_mirror_pairs_ordered_by_loss_counts(n_total, coupling):
     assert all(position[(a, b)] < position[(b, a)] for a, b in pairs)
 
 
+@pytest.mark.parametrize("n_total,eta", [(12, (0.9, 0.8)), (60, (0.97, 0.97))],
+                         ids=["asym", "mirror"])
+def test_mixture_and_conditional_probabilities_agree_bitwise(n_total, eta):
+    # one sum per branch probability: a branch sums its rows over
+    # n <= N - l_a as the scan does (a sum over l_b <= n <= N - l_a rounds
+    # differently for 7 of the 91 asym branches), and for a mirror state the
+    # pair is symmetrised alike, so the mixture stays sorted by its values
+    _, g = ground(ModelKind.SJJ, n_total, 4.0)
+    ch = LossChannel(*eta)
+    mix = loss_mixture(g, ch)
+    probs = [b.probability for b in mix]
+    assert probs == [conditional_state(g, b.l_a, b.l_b, ch).probability for b in mix]
+    assert probs == sorted(probs, reverse=True)
+
+
 def test_ground_state_mixture_structure():
     # strongly coupled soliton ground state: the lossless branch dominates
     # and equal-loss branches stay N00N-like

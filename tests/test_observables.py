@@ -210,6 +210,13 @@ def test_refine_minimum_quadratic():
     assert abs(xmin - x0) <= 1e-5
     assert fmin <= 1e-9
     assert len(evaluated) > 21
+    # f sees each key once, in scan order, and the argmin is a key
+    seen = []
+    assert refine_minimum(lambda x: seen.append(x) or (x - x0) ** 2,
+                          np.arange(0.0, 2.0001, 0.1), refine_to=1e-5)[2] == seen
+    assert len(set(seen)) == len(seen)
+    assert all(x == float("%.12g" % round(x, 12)) for x in seen)
+    assert xmin in seen
     with pytest.raises(ValueError):
         refine_minimum(lambda x: x, np.array([]))
     for grid in ([0.0, 0.5, 0.5], [1.0, 0.5]):
@@ -236,6 +243,28 @@ def test_cj_scan_consistency():
     )
     assert res.c_j <= coarse
     assert grid[0] - 0.05 <= res.argmin <= grid[-1] + 0.05
+
+
+def test_cj_scan_solves_each_coupling_once(monkeypatch):
+    # the refinement brackets share their ends and centre with earlier
+    # points: each coupling is solved once, at its key
+    solved, results = [], []
+
+    def counting(kind, n_total, coupling):
+        solved.append(coupling)
+        return ground(kind, n_total, coupling)
+
+    def recording(*args, **kwargs):
+        results.append(refine_minimum(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(observables, "ground", counting)
+    monkeypatch.setattr(observables, "refine_minimum", recording)
+    res = cj_scan(BJJ, 50, np.arange(0.8, 1.3 + 1e-9, 0.05))
+    (argmin, c_j, evaluated), = results
+    assert (res.argmin, res.c_j) == (argmin, c_j)
+    assert solved == evaluated
+    assert len(solved) == len(set(solved))
 
 
 def test_bjj_witness_depth_scaling():
