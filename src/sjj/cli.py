@@ -404,6 +404,7 @@ def _cmd_physical(resolved: dict) -> None:
     lam = coupling_lambda(tp)
     Lam = coupling_Lambda(tp)
     wp = wp_coefficient(tp) if tp.nu > 0 else None
+    n_critical = critical_atom_number(tp)
     payload = {
         "species": resolved["species"],
         "mass_kg": mass,
@@ -414,8 +415,8 @@ def _cmd_physical(resolved: dict) -> None:
         "u_n": u * tp.n_atoms,
         "lambda": lam,
         "Lambda": Lam,
-        "n_critical": critical_atom_number(tp),
-        "u_n_critical": u * critical_atom_number(tp),
+        "n_critical": n_critical,
+        "u_n_critical": u * n_critical,
         "wp": wp,
         "wp_lambda_squared": wp * lam * lam if wp is not None else None,
     }

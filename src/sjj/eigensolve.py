@@ -16,14 +16,17 @@ no LAPACK.  ``ground`` is ``ground_state`` of the model at (kind, N, coupling).
   mirror n -> N-n and has couplings < 0 (<= 0 at N = 1); its constructor
   checks both.  Such a chain splits exactly into an even and an odd block
   of about half the size in the basis (|n> +- |N-n>)/sqrt(2) (Cantoni &
-  Butler 1976, Linear Algebra Appl. 13, 275; ``_sectors``), and every
-  solver here works on the blocks, so every vector is even or odd bit for
-  bit however close its doublet partner lies.  Past
-  the self-trapping crossover the edge doublets are degenerate below double
-  precision, and a solver given the whole chain returns arbitrary mixtures
-  of their members.  The levels of such a chain alternate in parity, even
-  first (Sturm oscillation: level k changes sign k times), so the j-th even
-  level is level 2j and the j-th odd level is level 2j+1.
+  Butler 1976, Linear Algebra Appl. 13, 275; ``_sectors``).  Every level
+  comes from a block, and so does every vector of ``eigen_decompose``;
+  ``ground_state`` takes its energy and its twist row from the even block
+  and its vector from the chain's own recurrence over rows 0..N//2, closed
+  by the mirror condition (below).  So every vector is even or odd bit for
+  bit however close its doublet partner lies.  Past the self-trapping
+  crossover the edge doublets are degenerate below double precision, and a
+  solver given the whole chain returns arbitrary mixtures of their
+  members.  The levels of such a chain alternate in parity, even first
+  (Sturm oscillation: level k changes sign k times), so the j-th even level
+  is level 2j and the j-th odd level is level 2j+1.
 
 * Sign convention.  The first component of each eigenvector with magnitude
   above 1e-12 is made positive, so repeated runs are bit-comparable.
@@ -47,6 +50,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -206,14 +210,22 @@ def _sturm_eigenvalue(diag: np.ndarray, offdiag: np.ndarray, lo: float | None = 
                 q = pivmin
         return False
 
-    while True:
+    return _bisect(above, lo, hi)[0]
+
+
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
+            tol: float = 0.0) -> tuple[float, float]:
+    """Halve [lo, hi], keeping ``holds`` false at lo and true at hi, until
+    hi - lo <= tol or lo and hi are adjacent floats; returns (lo, hi)."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            return lo
-        if above(mid):
+            break
+        if holds(mid):
             hi = mid
         else:
             lo = mid
+    return lo, hi
 
 
 def _pivots(shifted: list[float], b2: list[float]) -> list[float]:

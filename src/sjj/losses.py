@@ -245,9 +245,9 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
     return _branch(_kernel(s, ch), l_a, l_b)
 
 
-def _check_p_min(p_min: float) -> None:
-    if p_min < 0:
-        raise ValueError(f"p_min must be >= 0, got {p_min}")
+def _check_min(name: str, value: float) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[ConditionalState]:
@@ -261,7 +261,7 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
     p_min only truncates the returned list, never the underlying
     enumeration.
     """
-    _check_p_min(p_min)
+    _check_min("p_min", p_min)
     k = _kernel(s, ch)
     prob, _ = _scan(k, math.inf, floor=p_min)
     la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
@@ -286,7 +286,8 @@ def traced_mixture(
     probability >= p_min, ordered as :func:`loss_mixture` orders the
     branches and by n within a branch.  Rows below row_min and rows that
     are exactly 0 are left out; p_min still applies to the whole branch."""
-    _check_p_min(p_min)
+    _check_min("p_min", p_min)
+    _check_min("row_min", row_min)
     # no row of a branch below row_min reaches row_min
     prob, (la, lb, n, rows) = _scan(_kernel(s, ch), row_min, floor=max(p_min, row_min))
     branch = prob[la, lb]
@@ -300,20 +301,20 @@ def three_body_decay(n0: float, l3: float, rho: float, t: float) -> float:
 
     l3 in cm^6/s, rho in cm^-3, t in s.
     """
-    if min(n0, l3, rho, t) < 0:
+    if not all(x >= 0 for x in (n0, l3, rho, t)):
         raise ValueError("all inputs must be >= 0")
     return n0 / math.sqrt(1.0 + gamma3(l3, rho) * t)
 
 
 def gamma3(l3: float, rho: float) -> float:
     """Effective three-body loss rate gamma_3 = 2 L3 rho^2 (1/s)."""
-    if l3 < 0 or rho < 0:
+    if not (l3 >= 0 and rho >= 0):
         raise ValueError("l3 and rho must be >= 0")
     return 2.0 * l3 * rho * rho
 
 
 def one_body_decay(n0: float, gamma1: float, t: float) -> float:
     """Atom number under one-body losses, N(0) exp(-gamma_1 t)."""
-    if min(n0, gamma1, t) < 0:
+    if not all(x >= 0 for x in (n0, gamma1, t)):
         raise ValueError("all inputs must be >= 0")
     return n0 * math.exp(-gamma1 * t)

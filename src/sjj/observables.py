@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .eigensolve import ground
+from .eigensolve import _bisect, ground
 from .logspace import log_factorial, logsumexp
 from .model import FockState, ModelKind
 
@@ -198,7 +198,8 @@ def refine_minimum(
 
     Scans the given grid, then repeatedly subdivides a one-step bracket
     around the current argmin into 21 points until the local step drops
-    below refine_to, which must be >= 0; refine_to = inf scans the grid only.
+    below refine_to, which must be >= 0, or until a level adds no new key;
+    refine_to = inf scans the grid only.  The grid must be finite.
     Each point x is keyed float("%.12g" % round(x, 12)), the coarser of 12
     decimals and the 12 digits the CLI prints; f gets each key once, in scan
     order, brackets centre on a key and the argmin is np.argmin's first
@@ -210,6 +211,8 @@ def refine_minimum(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     values: dict[float, float] = {}
@@ -225,9 +228,12 @@ def refine_minimum(
     while step > refine_to:
         sub = np.linspace(best_x - step, best_x + step, 21)
         sub = sub[sub >= 0.0]
+        known = len(values)
         x, v = argmin(sub)
         if v < best_v:
             best_x, best_v = x, v
+        if len(values) == known:  # the step is below the key resolution
+            break
         step = float(sub[1] - sub[0])
     return best_x, best_v, list(values)
 
@@ -296,12 +302,4 @@ def crossover_coupling(
         hi *= 2.0
         if hi > 1e6:
             raise ValueError("predicate never satisfied on the search bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: the bracket cannot shrink
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(predicate, lo, hi, tol)[1]

@@ -62,8 +62,8 @@ class TrapParams:
     a_perp: optional explicit transverse length in meters; when omitted it
     is derived as sqrt(hbar/(mass omega_perp)).
     Every field given must be finite, and n_atoms at most the largest float;
-    a mass * omega_perp (when a_perp is derived), a kappa or a nu that
-    underflows to 0 from nonzero inputs is a ValueError.  omega_x = 0 (no
+    a mass * omega_perp, a derived a_perp, a kappa or a nu that underflows
+    to 0 from nonzero inputs is a ValueError.  omega_x = 0 (no
     axial trap) gives nu = 0.
     """
 
@@ -97,6 +97,8 @@ class TrapParams:
         # a derived denominator that underflows to 0 would divide by zero later
         if self.a_perp is None and self.mass * self.omega_perp == 0:
             raise ValueError("a_perp cannot be derived: mass * omega_perp underflows to 0")
+        if self.a_perp_eff == 0:  # also a mass * omega_perp that overflows to inf
+            raise ValueError("derived a_perp = sqrt(hbar / (mass * omega_perp)) underflows to 0")
         if self.tunnel_rate > 0 and self.kappa == 0:
             raise ValueError("kappa = tunnel_rate / omega_perp underflows to 0")
         if self.omega_x > 0 and self.nu == 0:
@@ -122,10 +124,7 @@ class TrapParams:
 
 def nonlinearity_u(tp: TrapParams) -> float:
     """Dimensionless nonlinearity u = 2 pi |a_sc| / a_perp."""
-    a_perp = tp.a_perp_eff
-    if a_perp == 0:
-        raise ValueError("a_perp must be nonzero")
-    return 2.0 * math.pi * abs(tp.a_sc) / a_perp
+    return 2.0 * math.pi * abs(tp.a_sc) / tp.a_perp_eff
 
 
 def coupling_lambda(tp: TrapParams) -> float:
@@ -167,6 +166,6 @@ def gap_soliton_number(a_perp: float, mass_ratio: float, x0: float, a_sc: float)
 
     mass_ratio is m/|m_eff|, x0 the soliton width in meters.
     """
-    if min(a_perp, mass_ratio, x0, a_sc) <= 0:
+    if not all(x > 0 for x in (a_perp, mass_ratio, x0, a_sc)):
         raise ValueError("all inputs must be > 0")
     return a_perp * a_perp * mass_ratio / (1.5 * x0 * a_sc)

@@ -173,6 +173,17 @@ def reference_flow(z0: float, theta0: float, Lambda: float, tau_max: float):
     return sol.y[0, -1], sol.y[1, -1]
 
 
+def mp_overlap_integral(z: float, dps: int = 40) -> float:
+    """Soliton overlap integral int_0^inf dx / (cosh^2 x + sinh^2(z x)) by
+    mpmath's tanh-sinh quadrature at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        zm = mpmath.mpf(z)
+        return float(mpmath.quad(
+            lambda x: 1 / (mpmath.cosh(x) ** 2 + mpmath.sinh(zm * x) ** 2), [0, mpmath.inf]))
+
+
 def random_state(rng: np.random.Generator, n_total: int) -> np.ndarray:
     """Haar-ish random normalized complex amplitudes."""
     amps = rng.normal(size=n_total + 1) + 1j * rng.normal(size=n_total + 1)

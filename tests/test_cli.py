@@ -259,6 +259,15 @@ def test_losses_impossible_counts_exit3(counts, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_losses_nan_p_min_exit3(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    rc = main(["losses", "--model", "sjj", "--n", "10", "--coupling", "2", "--p-min", "nan",
+               "-o", str(out)])
+    assert rc == 3
+    assert "sjj losses: p_min must be >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_meanfield_numerical_failure_exit4(tmp_path):
     out = tmp_path / "blow.csv"
     rc = main(["meanfield", "--coupling", "0", "--z0", "0.97",
@@ -471,6 +480,9 @@ commands = [
       "--kappa-hz", "5e-324", "--n", "300"], 3),
     (["physical", "--a-sc", "1.4e-9", "--omega-x", "5e-324", "--omega-perp", "4398.2",
       "--kappa-hz", "77", "--n", "300", "--a-perp", "1.4e-6"], 3),
+    # hbar / (mass * omega_perp) underflows to 0
+    (["physical", "--a-sc", "1.4e-9", "--omega-x", "439.8", "--omega-perp", "1e100",
+      "--kappa-hz", "77", "--n", "300", "--mass", "1e200"], 3),
 ]
 try:
     main(["--version"])

@@ -15,12 +15,15 @@ from sjj import (
     cat_state,
     conditional_state,
     gamma3,
+    gap_soliton_number,
     ground,
     ground_state,
     hz_criterion,
+    kappa_eff,
     loss_mixture,
     noon_state,
     one_body_decay,
+    steady_states,
     three_body_decay,
     traced_mixture,
 )
@@ -531,3 +534,24 @@ def test_one_body_decay():
     for args in [(-1.0, 0.2, 0.0), (1.0, -0.2, 0.0), (1.0, 0.2, -1.0)]:
         with pytest.raises(ValueError, match="all inputs must be >= 0"):
             one_body_decay(*args)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda s, ch: loss_mixture(s, ch, p_min=math.nan), "p_min must be >= 0"),
+    (lambda s, ch: traced_mixture(s, ch, p_min=math.nan), "p_min must be >= 0"),
+    (lambda s, ch: traced_mixture(s, ch, row_min=math.nan), "row_min must be >= 0"),
+    (lambda s, ch: traced_mixture(s, ch, row_min=-1.0), "row_min must be >= 0"),
+    (lambda s, ch: three_body_decay(1.0, math.nan, 1.0, 1.0), "all inputs must be >= 0"),
+    (lambda s, ch: one_body_decay(1.0, math.nan, 1.0), "all inputs must be >= 0"),
+    (lambda s, ch: gamma3(math.nan, 1.0), "l3 and rho must be >= 0"),
+    (lambda s, ch: kappa_eff(0.1, math.nan), "kappa must be > 0"),
+    (lambda s, ch: gap_soliton_number(math.nan, 1.0, 1.0, 1.0), "all inputs must be > 0"),
+    (lambda s, ch: steady_states(math.nan), "Lambda must be finite and >= 0"),
+    (lambda s, ch: steady_states(math.inf), "Lambda must be finite and >= 0"),
+], ids=["loss_mixture_p_min", "traced_p_min", "traced_row_min", "traced_row_min_negative",
+        "three_body", "one_body", "gamma3", "kappa_eff", "gap_soliton", "steady_nan",
+        "steady_inf"])
+def test_nan_input_is_value_error(call, match):
+    # a NaN fails every comparison, so each guard tests that the value holds
+    with pytest.raises(ValueError, match=match):
+        call(noon_state(4), LossChannel(0.9, 0.9))

@@ -16,7 +16,7 @@ from sjj import (
 )
 from sjj import meanfield
 from sjj.meanfield import MeanFieldIntegrationError, wrap_phase
-from oracles import reference_flow
+from oracles import mp_overlap_integral, reference_flow
 
 
 def test_rhs_symmetric_fixed_point():
@@ -142,7 +142,7 @@ def test_steady_states_branches():
     assert "pinned+" in {s.branch for s in steady_states(1.58)}
     assert "self-trapped+" not in {s.branch for s in steady_states(1.58)}
     assert "self-trapped+" in {s.branch for s in steady_states(2.42)}
-    with pytest.raises(ValueError, match="Lambda must be >= 0"):
+    with pytest.raises(ValueError, match="Lambda must be finite and >= 0"):
         steady_states(-1.0)
 
 
@@ -165,6 +165,11 @@ def test_overlap_integral_quadratic_fit():
     zs = np.linspace(-1.0, 1.0, 41)
     dev = max(abs(overlap_integral(float(z)) - (1.0 - 0.21 * z * z)) for z in zs)
     assert dev <= 0.01
+
+
+def test_overlap_integral_exact_to_rounding():
+    for z in [*np.linspace(-1.0, 1.0, 41).tolist(), 1e-8, -1e-8]:
+        assert abs(overlap_integral(z) - mp_overlap_integral(z)) <= 1e-15, z
 
 
 def test_overlap_integral_against_scipy():

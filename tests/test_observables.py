@@ -224,6 +224,29 @@ def test_refine_minimum_quadratic():
             refine_minimum(lambda x: x, np.array(grid))
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [math.nan], [0.0, math.inf]])
+def test_refine_minimum_rejects_non_finite_grid(grid):
+    # a NaN difference is not <= 0, so the order check alone lets it through
+    calls = []
+    with pytest.raises(ValueError, match="grid must be finite"):
+        refine_minimum(calls.append, np.array(grid))
+    assert calls == []
+
+
+def test_refine_minimum_stops_at_the_key_resolution(monkeypatch):
+    # once the step falls below the key resolution a level adds no key, and
+    # the refinement stops there instead of running down through the subnormals
+    levels = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: levels.append(a) or linspace(*a, **k))
+    xmin, fmin, evaluated = refine_minimum(lambda x: x, [0.0, 0.5, 1.0], refine_to=0.0)
+    assert (xmin, fmin, len(evaluated)) == (0.0, 0.0, 106)
+    assert len(levels) == 13
+    levels.clear()
+    refine_minimum(lambda x: x, [0.0, 0.5, 1.0], refine_to=1e-5)
+    assert len(levels) == 5
+
+
 @pytest.mark.parametrize("refine_to", [-1.0, math.nan])
 def test_refine_minimum_rejects_negative_step_floor(refine_to):
     # with a negative floor the refinement would never end: the local step

@@ -45,12 +45,13 @@ def test_nonlinearity_worked_numbers():
 def test_derived_transverse_length():
     tp = lithium_trap(77.0, a_perp=None)
     assert 1.38e-6 <= tp.a_perp_eff <= 1.48e-6  # ~1.4 um for 7Li at 700 Hz
-    # hbar / (mass * omega_perp) underflows to 0, so the derived a_perp is 0
-    flat = TrapParams(a_sc=1e-9, omega_x=1.0, omega_perp=1e300, tunnel_rate=1.0, n_atoms=5,
-                      mass=1e300)
-    assert flat.a_perp_eff == 0.0
-    with pytest.raises(ValueError, match="a_perp must be nonzero"):
-        nonlinearity_u(flat)
+    # hbar / (mass * omega_perp) underflows to 0, or mass * omega_perp
+    # overflows to inf, so the derived a_perp would be 0: the trap is
+    # rejected at construction
+    for mass, omega_perp in [(1e200, 1e100), (1e300, 1e300)]:
+        with pytest.raises(ValueError, match="derived a_perp .* underflows to 0"):
+            TrapParams(a_sc=1e-9, omega_x=1.0, omega_perp=omega_perp, tunnel_rate=1.0,
+                       n_atoms=5, mass=mass)
 
 
 def test_coupling_lambda_worked_number():
