@@ -19,13 +19,11 @@ One log-space kernel serves every form: the traced row
 |A_n|^2 B^n_{l_a,l_b} of the output mixture, the branch probability (the
 sum of a branch's rows over n) and the conditional state (one branch's
 rows, normalized).  The binomial weights are tabulated once per state as
-two (N+1) x (N+1) arrays, and the (l_a, l_b, n) row tensor is scanned
-one l_a at a time.  Each binomial weight is at most 1, so a branch
-probability is at most both marginal loss distributions,
-P[l_a, l_b] <= Pa[l_a] = sum_n |A_n|^2 Ta[n, l_a] and
-P[l_a, l_b] <= Pb[l_b] = sum_n |A_n|^2 Tb[n, l_b]; a scan that needs only
-the branches reaching a floor skips every (l_a, l_b) whose marginals lie
-below half of it.
+two tables, one loss count per row, and the (l_a, l_b, n) row tensor is
+scanned one l_a at a time.  Mode a holds at most N particles, so a branch
+probability is at most the binomial tail P(Bin(N, 1-eta_a) >= l_a), and
+likewise for mode b; a scan that needs only the branches reaching a floor
+tabulates only the loss counts whose tail reaches half of it.
 
 Mean-field losses: one-body decay N(t) = N(0) exp(-gamma_1 t) and
 three-body recombination N(t) = N(0)/sqrt(1 + 2 L_3 rho^2 t) with effective
@@ -125,14 +123,29 @@ class _Kernel:
     mirror: bool  # eta_a = eta_b and |A_n| = |A_{N-n}|: P[l_a, l_b] = P[l_b, l_a]
 
 
-# largest (N+1)^2 of the kernel's tables: 128 MiB each, N <= 4095; the
-# README's N = 300 needs 0.7 MB.  A scan with no floor evaluates all
-# ~N^3/3 rows; one with a floor only the rows of the branches whose
-# marginals reach it
+# largest (N+1)^2 of a loss kernel, N <= 4095: it bounds the scan and its
+# output, not the tables (see _reach); a scan with no floor evaluates all
+# ~N^3/3 rows, 9.1 M at the README's N = 300
 _MAX_TABLE = 1 << 24
 
 
-def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
+def _reach(n_total: int, eta: float, floor: float) -> int:
+    """How many loss counts l = 0, 1, ... have a binomial tail
+    P(Bin(N, 1-eta) >= l) of at least floor/2 (N + 1 when floor is 0); the
+    factor 2 covers the ~1e-12 relative rounding of the computed P and tail."""
+    if floor == 0.0:
+        return n_total + 1
+    # with Pa[l_a] = sum_n |A_n|^2 Ta[n, l_a], P[l_a, l_b] <= Pa[l_a]
+    # <= max_n P(Bin(N-n, 1-eta_a) = l_a) <= P(Bin(N, 1-eta_a) >= l_a), alike
+    # for mode b; the tail grows as eta falls, so the smaller eta bounds both
+    log_weight = _log_binom_weight(n_total, np.arange(n_total + 1), eta)
+    log_tail = np.logaddexp.accumulate(log_weight[::-1])
+    return int(np.count_nonzero(log_tail >= math.log(floor) - math.log(2.0)))
+
+
+def _kernel(s: FockState, ch: LossChannel, rows: int | None = None) -> _Kernel:
+    """The kernel of s, its tables cut to loss counts 0..rows-1 (all N + 1
+    when rows is None)."""
     if (s.n_total + 1) ** 2 > _MAX_TABLE:
         raise ValueError(
             f"n_total must be at most {math.isqrt(_MAX_TABLE) - 1} for the loss tables, got {s.n_total}"
@@ -143,58 +156,35 @@ def _kernel(s: FockState, ch: LossChannel) -> _Kernel:
     return _Kernel(
         amps=s.amps,
         log_p=log_p,
-        log_ta=_log_binom_weight(s.n_total - n, n[:, None], ch.eta_a),
-        log_tb=_log_binom_weight(n, n[:, None], ch.eta_b),
+        log_ta=_log_binom_weight(s.n_total - n, n[:rows, None], ch.eta_a),
+        log_tb=_log_binom_weight(n, n[:rows, None], ch.eta_b),
         mirror=ch.eta_a == ch.eta_b and np.array_equal(log_p, log_p[::-1]),
     )
 
 
-def _marginals(k: _Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """The marginal loss distributions Pa[l_a] = sum_n |A_n|^2 Ta[n, l_a]
-    and Pb[l_b] = sum_n |A_n|^2 Tb[n, l_b], each term formed in log space
-    as the rows are."""
-    return np.exp(k.log_ta + k.log_p).sum(axis=-1), np.exp(k.log_tb + k.log_p).sum(axis=-1)
-
-
-def _scan(
-    k: _Kernel, row_min: float, floor: float = 0.0
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Branch probabilities P[l_a, l_b] = sum_n row(l_a, l_b, n), and the
-    (l_a, l_b, n, row) columns of the rows with row >= row_min and row > 0,
-    in (l_a, l_b, n) order.  The row tensor is built one l_a at a time, its
-    (l_b, n) slab cut to l_b <= N - l_a and n <= N - l_a, past which every
-    row is 0.
-
-    Branches that cannot reach `floor` are skipped: a slab is built only
-    for the l_a with Pa[l_a] >= floor/2, on the rows l_b with
-    Pb[l_b] >= floor/2 (see :func:`_marginals`).  The factor 2 covers the
-    ~1e-12 relative rounding by which a computed P may exceed its computed
-    marginals.  P is exact wherever it is >= floor, and is 0 for a skipped
-    branch; every row of a built slab, and every sum, is the one the whole
-    tensor gives, bit for bit."""
-    size = len(k.log_p)
-    prob = np.zeros((size, size))
-    # the empty columns stand in when no branch reaches the floor
+def _scan(k: _Kernel, row_min: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Branch probabilities P[l_a, l_b] = sum_n row(l_a, l_b, n) over the
+    loss counts the kernel holds, and the (l_a, l_b, n, row) columns of the
+    rows with row >= row_min and row > 0, in (l_a, l_b, n) order.  The row
+    tensor is built one l_a at a time, its (l_b, n) slab cut to
+    l_b <= N - l_a and n <= N - l_a, past which every row is 0.  Every row
+    and every sum is the one the whole tensor gives, bit for bit."""
+    size, rows = len(k.log_p), len(k.log_ta)
+    prob = np.zeros((rows, rows))
+    # the empty columns stand in when the kernel holds no loss count
     found = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
-    pa, pb = _marginals(k)
-    if k.mirror:
-        # Pa = Pb in exact arithmetic, but their sums round differently:
-        # one bound for both keeps or skips each mirror pair together
-        pa = pb = np.maximum(pa, pb)
-    keep_a, keep_b = pa >= 0.5 * floor, pb >= 0.5 * floor
-    for l_a in np.flatnonzero(keep_a).tolist():
+    for l_a in range(rows):
         m = size - l_a
-        rows_b = np.flatnonzero(keep_b[:m])
-        slab = k.log_ta[l_a, :m] + k.log_tb[rows_b, :m]
+        slab = k.log_ta[l_a, :m] + k.log_tb[:m, :m]
         slab += k.log_p[:m]
         np.exp(slab, out=slab)
         sums = slab.sum(axis=-1)
-        prob[l_a, rows_b] = sums
+        prob[l_a, :m] = sums
         # only a branch whose sum reaches row_min can hold such a row
         lb = np.flatnonzero(sums >= row_min)
         sub = slab[lb]
         j, n = np.nonzero((sub >= row_min) & (sub > 0.0))
-        found.append((np.full(len(j), l_a), rows_b[lb[j]], n, sub[j, n]))
+        found.append((np.full(len(j), l_a), lb[j], n, sub[j, n]))
     if k.mirror:
         # make the tie exact, so (l_a, l_b) and not rounding orders each mirror pair
         prob = 0.5 * (prob + prob.T)
@@ -242,7 +232,8 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
         raise ValueError("loss counts must be >= 0")
     if l_a + l_b > N:
         raise ValueError(f"cannot lose {l_a}+{l_b} particles out of {N}")
-    return _branch(_kernel(s, ch), l_a, l_b)
+    # max(l_a, l_b) + 1 loss counts hold the branch and its mirror partner
+    return _branch(_kernel(s, ch, max(l_a, l_b) + 1), l_a, l_b)
 
 
 def _check_min(name: str, value: float) -> None:
@@ -262,8 +253,8 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
     enumeration.
     """
     _check_min("p_min", p_min)
-    k = _kernel(s, ch)
-    prob, _ = _scan(k, math.inf, floor=p_min)
+    k = _kernel(s, ch, _reach(s.n_total, min(ch.eta_a, ch.eta_b), p_min))
+    prob, _ = _scan(k, math.inf)
     la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
     order = np.argsort(-prob[la, lb], kind="stable")  # ties stay in (l_a, l_b) order
     return [_branch(k, a, b) for a, b in zip(la[order].tolist(), lb[order].tolist())]
@@ -289,7 +280,8 @@ def traced_mixture(
     _check_min("p_min", p_min)
     _check_min("row_min", row_min)
     # no row of a branch below row_min reaches row_min
-    prob, (la, lb, n, rows) = _scan(_kernel(s, ch), row_min, floor=max(p_min, row_min))
+    reach = _reach(s.n_total, min(ch.eta_a, ch.eta_b), max(p_min, row_min))
+    prob, (la, lb, n, rows) = _scan(_kernel(s, ch, reach), row_min)
     branch = prob[la, lb]
     kept = np.flatnonzero(branch >= p_min)
     order = kept[np.argsort(-branch[kept], kind="stable")]
@@ -301,20 +293,20 @@ def three_body_decay(n0: float, l3: float, rho: float, t: float) -> float:
 
     l3 in cm^6/s, rho in cm^-3, t in s.
     """
-    if not all(x >= 0 for x in (n0, l3, rho, t)):
-        raise ValueError("all inputs must be >= 0")
+    if not all(0 <= x < math.inf for x in (n0, l3, rho, t)):
+        raise ValueError("all inputs must be >= 0 and finite")
     return n0 / math.sqrt(1.0 + gamma3(l3, rho) * t)
 
 
 def gamma3(l3: float, rho: float) -> float:
     """Effective three-body loss rate gamma_3 = 2 L3 rho^2 (1/s)."""
-    if not (l3 >= 0 and rho >= 0):
-        raise ValueError("l3 and rho must be >= 0")
+    if not (0 <= l3 < math.inf and 0 <= rho < math.inf):
+        raise ValueError("l3 and rho must be >= 0 and finite")
     return 2.0 * l3 * rho * rho
 
 
 def one_body_decay(n0: float, gamma1: float, t: float) -> float:
     """Atom number under one-body losses, N(0) exp(-gamma_1 t)."""
-    if not all(x >= 0 for x in (n0, gamma1, t)):
-        raise ValueError("all inputs must be >= 0")
+    if not all(0 <= x < math.inf for x in (n0, gamma1, t)):
+        raise ValueError("all inputs must be >= 0 and finite")
     return n0 * math.exp(-gamma1 * t)

@@ -207,8 +207,8 @@ def kappa_eff(z: float, kappa: float) -> float:
     """
     if not abs(z) <= 1.0:
         raise ValueError(f"|z| must be <= 1, got {z}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be > 0 and finite, got {kappa}")
     return kappa * (1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z)
 
 
@@ -220,6 +220,8 @@ def lambda_eff(z: float, Lambda: float) -> float:
     """
     if not abs(z) < 1.0:
         raise ValueError(f"|z| must be < 1, got {z}")
+    if not (math.isfinite(Lambda) and Lambda >= 0):
+        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
     return Lambda / ((1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z))
 
 

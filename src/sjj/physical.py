@@ -166,6 +166,6 @@ def gap_soliton_number(a_perp: float, mass_ratio: float, x0: float, a_sc: float)
 
     mass_ratio is m/|m_eff|, x0 the soliton width in meters.
     """
-    if not all(x > 0 for x in (a_perp, mass_ratio, x0, a_sc)):
-        raise ValueError("all inputs must be > 0")
+    if not all(0 < x < math.inf for x in (a_perp, mass_ratio, x0, a_sc)):
+        raise ValueError("all inputs must be > 0 and finite")
     return a_perp * a_perp * mass_ratio / (1.5 * x0 * a_sc)

@@ -20,6 +20,7 @@ from sjj import (
     ground_state,
     hz_criterion,
     kappa_eff,
+    lambda_eff,
     loss_mixture,
     noon_state,
     one_body_decay,
@@ -324,30 +325,36 @@ def test_row_chunk_size_changes_nothing(n_total, step, rng):
     assert_scan_equals_row_tensor(k, step)
 
 
-def assert_floor_scan_exact(k, floors, row_mins=(0.0, 1e-6, math.inf)):
-    """`_scan(k, row_min, floor)` against the whole row tensor, one l_a at a
-    time: every branch it computes and every row it returns is the
-    tensor's, bit for bit; every branch it skips is below the floor.
-    Returns the number of nonzero branches each floor skipped."""
-    size = len(k.log_p)
-    scans = {(f, r): losses._scan(k, r, f) for f in floors for r in row_mins}
+def assert_floor_scan_exact(s, ch, floors, row_mins=(0.0, 1e-6, math.inf)):
+    """The scan of the kernel cut by `_reach` at each floor against the
+    full kernel's row tensor, one l_a at a time: every branch it computes
+    and every row it returns is the tensor's, bit for bit; every branch it
+    leaves out lies below the floor.  Returns the number of nonzero
+    branches each floor left out."""
+    full = losses._kernel(s, ch)
+    size = len(full.log_p)
+    reach = {f: losses._reach(s.n_total, min(ch.eta_a, ch.eta_b), f) for f in floors}
+    scans = {(f, r): losses._scan(losses._kernel(s, ch, reach[f]), r) for f in floors for r in row_mins}
     want = np.zeros((size, size))
     for l_a in range(size):
-        tensor, want[l_a] = whole_row_tensor(k, slice(l_a, l_a + 1))
-        for (_, row_min), (got_prob, (la, lb, n, rows)) in scans.items():
+        tensor, want[l_a] = whole_row_tensor(full, slice(l_a, l_a + 1))
+        for (f, row_min), (_, (la, lb, n, rows)) in scans.items():
             at = slice(*np.searchsorted(la, [l_a, l_a + 1]))
-            computed = got_prob[l_a] != 0.0
-            kept = np.nonzero((tensor[0] >= row_min) & (tensor[0] > 0.0) & computed[:, None])
+            held = tensor[0][: reach[f] if l_a < reach[f] else 0]
+            kept = np.nonzero((held >= row_min) & (held > 0.0))
             assert np.array_equal(lb[at], kept[0]) and np.array_equal(n[at], kept[1])
-            assert np.array_equal(rows[at], tensor[0][kept])
-    if k.mirror:
+            assert np.array_equal(rows[at], held[kept])
+    if full.mirror:
         want = 0.5 * (want + want.T)
     skipped = {}
     for (floor, _), (got_prob, _) in scans.items():
-        computed = got_prob != 0.0
-        assert np.array_equal(got_prob[computed], want[computed])
-        assert np.all((want[~computed] < floor) | (want[~computed] == 0.0))
-        skipped[floor] = int(np.count_nonzero(~computed & (want > 0.0)))
+        cut = reach[floor]
+        assert got_prob.shape == (cut, cut)
+        assert np.array_equal(got_prob, want[:cut, :cut])
+        left_out = np.ones((size, size), dtype=bool)
+        left_out[:cut, :cut] = False
+        assert np.all(want[left_out] < floor)
+        skipped[floor] = int(np.count_nonzero(left_out & (want > 0.0)))
     return skipped
 
 
@@ -355,35 +362,49 @@ def assert_floor_scan_exact(k, floors, row_mins=(0.0, 1e-6, math.inf)):
 @pytest.mark.parametrize("eta", [(0.8, 0.9), (0.999, 0.999)], ids=["asym", "sym"])
 @pytest.mark.parametrize("state", ["random", "ground"])
 def test_scan_floor_skips_only_branches_below_it(n_total, eta, state, rng):
-    # the marginal bound skips branches that cannot reach the floor and
-    # changes no branch or row that can, not even by rounding
+    # the binomial bound leaves out branches that cannot reach the floor
+    # and changes no branch or row that can, not even by rounding
     if state == "random":
         s = FockState(random_state(rng, n_total))
     else:
         s = ground_state(build_hamiltonian(ModelKind.SJJ, n_total, 4.0))[1]
-    k = losses._kernel(s, LossChannel(*eta))
-    assert k.mirror == (state == "ground" and eta[0] == eta[1])
-    skipped = assert_floor_scan_exact(k, floors=(0.0, 1e-100, 1e-6))
+    ch = LossChannel(*eta)
+    assert losses._kernel(s, ch).mirror == (state == "ground" and eta[0] == eta[1])
+    skipped = assert_floor_scan_exact(s, ch, floors=(0.0, 1e-100, 1e-6))
     assert skipped[0.0] == 0
     assert skipped[1e-6] > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_total=st.integers(min_value=1, max_value=30),
+    eta_a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    eta_b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_reach_bounds_every_branch(seed, n_total, eta_a, eta_b):
+    # P[l_a, l_b] <= P(Bin(N, 1 - eta) >= max(l_a, l_b)) at the smaller eta:
+    # the cut kernel keeps every branch >= floor and every row >= row_min
+    # bit for bit, and every branch it leaves out lies below the floor
+    s = FockState(random_state(np.random.default_rng(seed), n_total))
+    assert_floor_scan_exact(s, LossChannel(eta_a, eta_b), floors=(1e-100, 1e-6, 1e-3))
+
+
 def test_scan_floor_keeps_mirror_pairs_together():
-    # for a mirror state at eta_a = eta_b the marginals Pa and Pb are equal
-    # in exact arithmetic but round differently; a floor at twice either
-    # one of a differing pair would keep l on one side and skip it on the
-    # other, and the symmetrised P would halve the one branch computed
+    # for a mirror state at eta_a = eta_b one loss count bounds both
+    # tables, so a floor at or near a branch probability keeps or leaves
+    # out each mirror pair together, and the symmetrised P is exact
     _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 60, 4.0))
-    k = losses._kernel(g, LossChannel(0.97, 0.97))
-    assert k.mirror
-    pa, pb = losses._marginals(k)
-    differ = np.flatnonzero(pa != pb)[:6]
-    assert len(differ) == 6
-    floors = tuple(2.0 * x for l in differ.tolist() for x in (pa[l], pb[l]))
-    assert_floor_scan_exact(k, floors, row_mins=(0.0,))
+    ch = LossChannel(0.97, 0.97)
+    assert losses._kernel(g, ch).mirror
+    prob, _ = losses._scan(losses._kernel(g, ch), 0.0)
+    pairs = [(l, l + 1) for l in (0, 2, 5, 9, 14, 20)]
+    assert all(prob[a, b] == prob[b, a] > 0.0 for a, b in pairs)
+    floors = tuple(x * prob[a, b] for a, b in pairs for x in (1.0, 2.0))
+    assert_floor_scan_exact(g, ch, floors, row_mins=(0.0,))
     for floor in floors:
-        prob, _ = losses._scan(k, 0.0, floor)
-        assert np.array_equal(prob, prob.T)
+        cut, _ = losses._scan(losses._kernel(g, ch, losses._reach(60, 0.97, floor)), 0.0)
+        assert np.array_equal(cut, cut.T)
 
 
 @pytest.mark.parametrize("eta", [(0.8, 0.9), (0.97, 0.97)], ids=["asym", "sym"])
@@ -404,10 +425,9 @@ def test_mixture_floor_is_a_cut(eta, state, rng):
         assert all(np.array_equal(b.state.amps, w.state.amps) for b, w in zip(cut, want))
 
 
-def test_readme_loss_scan_work_bounded(monkeypatch):
-    # the traced README table (SJJ, N = 300, coupling 4, eta = 0.999, rows
-    # >= 1e-100) passes 981,644 values to exp: 800,442 slab rows and
-    # 2 x 301^2 marginal terms, against 9,135,651 for the whole row tensor
+def readme_exp_values(monkeypatch, p_min: float) -> int:
+    """How many values the traced README table (SJJ, N = 300, coupling 4,
+    eta = 0.999, rows >= 1e-100) with this p_min passes to exp."""
     counted = []
 
     class CountingNumpy:
@@ -420,8 +440,19 @@ def test_readme_loss_scan_work_bounded(monkeypatch):
 
     _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
     monkeypatch.setattr(losses, "np", CountingNumpy())
-    traced_mixture(g, LossChannel(0.999, 0.999), row_min=1e-100)
-    assert sum(counted) <= 1_000_000
+    traced_mixture(g, LossChannel(0.999, 0.999), p_min=p_min, row_min=1e-100)
+    return sum(counted)
+
+
+def test_readme_loss_scan_work_bounded(monkeypatch):
+    # only the slab rows of 54 loss counts per table, against 9,135,651
+    # rows for the whole row tensor
+    assert readme_exp_values(monkeypatch, 0.0) == 800_442
+
+
+def test_readme_p_min_loss_scan_work_bounded(monkeypatch):
+    # --p-min 1e-6 cuts each table to 7 loss counts
+    assert readme_exp_values(monkeypatch, 1e-6) == 14_602
 
 
 def test_loss_tables_bounded_before_allocation(rng, monkeypatch):
@@ -555,3 +586,23 @@ def test_nan_input_is_value_error(call, match):
     # a NaN fails every comparison, so each guard tests that the value holds
     with pytest.raises(ValueError, match=match):
         call(noon_state(4), LossChannel(0.9, 0.9))
+
+
+# the six calls that gave NaN when only the range of each input was
+# checked, then each input of each function set to inf on its own
+VALID_INPUTS = [(gamma3, (1.0, 1.0)), (one_body_decay, (1.0, 1.0, 1.0)),
+                (three_body_decay, (1.0, 1.0, 1.0, 1.0)), (kappa_eff, (0.5, 1.0)),
+                (lambda_eff, (0.5, 1.0)), (gap_soliton_number, (1.0, 1.0, 1.0, 1.0))]
+NOT_FINITE = [
+    (gamma3, (math.inf, 0.0)), (one_body_decay, (1.0, math.inf, 0.0)),
+    (three_body_decay, (1.0, math.inf, 0.0, 1.0)), (kappa_eff, (1.0, math.inf)),
+    (lambda_eff, (0.5, math.nan)), (gap_soliton_number, (math.inf, 1.0, math.inf, 1.0)),
+] + [(f, (*args[:i], math.inf, *args[i + 1:])) for f, args in VALID_INPUTS for i in range(len(args))]
+
+
+@pytest.mark.parametrize("f, args", NOT_FINITE,
+                         ids=[f"{f.__name__}{args}" for f, args in NOT_FINITE])
+def test_not_finite_input_is_value_error(f, args):
+    assert all(math.isfinite(f(*valid)) for g, valid in VALID_INPUTS if g is f)
+    with pytest.raises(ValueError):
+        f(*args)
