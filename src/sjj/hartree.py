@@ -147,7 +147,8 @@ def _normalized(sign, log_mag) -> FockState:
 
 def coherent_fock_amplitudes(alpha: float, beta: float, n_total: int) -> FockState:
     """Binomial Fock expansion A_n = sqrt(C(N, n)) alpha^(N-n) beta^n, normalized."""
-    if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
+    # written so that a NaN or an overflowing input fails it too
+    if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-12:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     n, log_mag = _log_binomial_amplitudes(alpha, beta, n_total)
     return _normalized((-1.0) ** ((n_total - n) * (alpha < 0) + n * (beta < 0)), log_mag)
@@ -184,6 +185,8 @@ def noon_state(n_total: int, phase: float = 0.0) -> FockState:
 
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     amps = np.zeros(n_total + 1, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)
     amps[-1] = np.exp(1j * phase) / math.sqrt(2.0)

@@ -88,11 +88,15 @@ class SteadyState:
 
 def rhs(s: MeanFieldState, Lambda: float) -> tuple[float, float]:
     """(dz/dtau, dtheta/dtau) at the given state."""
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
     return _rhs_raw(s.z, s.theta, Lambda)
 
 
 def energy_h(s: MeanFieldState, Lambda: float) -> float:
     """Conserved energy h(z, theta) in units kappa*N (constant terms dropped)."""
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
     return _mean_field_energy(s.z * s.z, math.cos(s.theta), Lambda)
 
 
@@ -226,5 +230,7 @@ def lambda_eff(z: float, Lambda: float) -> float:
 
 
 def wrap_phase(theta: float | np.ndarray) -> float | np.ndarray:
-    """Reduce an unwrapped phase to (-pi, pi]."""
+    """Reduce a finite unwrapped phase to (-pi, pi]."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     return -((-np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi)

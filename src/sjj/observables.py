@@ -65,37 +65,22 @@ class CJScanResult(NamedTuple):
     argmin: float
 
 
-def _ladder(N: int) -> np.ndarray:
-    """c_n = sqrt((n+1)(N-n)) coupling amplitudes between n and n+1."""
-    n = np.arange(N, dtype=float)
-    return np.sqrt((n + 1.0) * (N - n))
-
-
-def _jx_apply(amps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    out[1:] += 0.5 * c * amps[:-1]
-    out[:-1] += 0.5 * c * amps[1:]
-    return out
-
-
-def _jy_apply(amps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    out[1:] += c * amps[:-1] / 2j
-    out[:-1] -= c * amps[1:] / 2j
-    return out
-
-
 def spin_expectations(s: FockState) -> SpinExpectations:
-    """Means and variances of J_X, J_Y, J_Z; second moments are obtained by
-    applying each operator twice (as squared norms of J|psi>)."""
+    """Means and variances of J_X, J_Y, J_Z.  J_X|psi> and J_Y|psi> are formed
+    from the two ladder products b^dag a|psi> and a^dag b|psi>, and each
+    second moment is the squared norm of J|psi>."""
     N = s.n_total
     amps = s.amps
-    c = _ladder(N)
-    jz_diag = 0.5 * (N - 2.0 * np.arange(N + 1))
+    n = np.arange(N, dtype=float)
+    c = np.sqrt((n + 1.0) * (N - n))  # <n+1| b^dag a |n>
+    up = np.zeros_like(amps)  # b^dag a |psi>
+    up[1:] = c * amps[:-1]
+    down = np.zeros_like(amps)  # a^dag b |psi>
+    down[:-1] = c * amps[1:]
 
-    jx_amps = _jx_apply(amps, c)
-    jy_amps = _jy_apply(amps, c)
-    jz_amps = jz_diag * amps
+    jx_amps = 0.5 * (up + down)
+    jy_amps = (up - down) / 2j
+    jz_amps = 0.5 * (N - 2.0 * np.arange(N + 1)) * amps
 
     ex = float(np.real(np.vdot(amps, jx_amps)))
     ey = float(np.real(np.vdot(amps, jy_amps)))
@@ -126,13 +111,16 @@ def hz_criterion(s: FockState, m: int) -> float:
 
     evaluated by closed-form falling-factorial sums over the amplitudes.
     Only the ratios of the three moments are exponentiated, so the result is
-    finite for any 1 <= m <= N.  Values in [0, 1) witness entanglement.
+    finite for any 1 <= m <= N.  Where |A_n|^2 underflows to 0 but A_n does
+    not, log |A_n|^2 is taken as 2 log |A_n|; the result is undefined
+    (UndefinedCriterionError) only when every A_n with n <= N - m is 0 in
+    double precision.  Values in [0, 1) witness entanglement.
     """
     N = s.n_total
     if not 1 <= m <= N:
         raise ValueError(f"order must satisfy 1 <= m <= {N}, got {m}")
     amps = s.amps
-    probs = np.abs(amps) ** 2
+    probs = s.probabilities
     n = np.arange(N + 1)
 
     lff_a = _log_falling(N - n, m)  # a+^m a^m on |N-n>
@@ -140,7 +128,7 @@ def hz_criterion(s: FockState, m: int) -> float:
     log_rise = log_factorial(n + m) - log_factorial(n)  # b^m b+^m on |n>
 
     with np.errstate(divide="ignore"):
-        log_p = np.log(probs)
+        log_p = np.where(probs > 0, np.log(probs), 2.0 * np.log(np.abs(amps)))
 
     log_pop = logsumexp(log_p + lff_a + lff_b)
 
@@ -149,10 +137,10 @@ def hz_criterion(s: FockState, m: int) -> float:
     idx = n[: N + 1 - m]
     log_fac = 0.5 * (lff_a[idx] + _log_falling(idx + m, m))
     pair = np.conj(amps[idx + m]) * amps[idx]
-    finite = np.isfinite(log_fac) & (pair != 0)
-    if np.any(finite):
-        K = float(np.max(log_fac[finite]))
-        coh = np.sum(pair[finite] * np.exp(log_fac[finite] - K))
+    nonzero = pair != 0
+    if np.any(nonzero):
+        K = float(np.max(log_fac[nonzero]))
+        coh = np.sum(pair[nonzero] * np.exp(log_fac[nonzero] - K))
         log_coh2 = 2.0 * (K + math.log(abs(coh))) if coh != 0 else -np.inf
     else:
         log_coh2 = -np.inf
@@ -163,7 +151,8 @@ def hz_criterion(s: FockState, m: int) -> float:
 
     if log_den == -np.inf:
         raise UndefinedCriterionError(
-            f"witness denominator vanished for m = {m} (no support with >= {m} particles in mode a)"
+            f"witness denominator vanished for m = {m} (every amplitude with >= {m} particles"
+            " in mode a is 0 or underflows to 0)"
         )
     with np.errstate(over="ignore"):
         return float(1.0 + np.exp(log_pop - log_den) - np.exp(log_coh2 - log_den))
@@ -199,7 +188,8 @@ def refine_minimum(
     Scans the given grid, then repeatedly subdivides a one-step bracket
     around the current argmin into 21 points until the local step drops
     below refine_to, which must be >= 0, or until a level adds no new key;
-    refine_to = inf scans the grid only.  The grid must be finite.
+    refine_to = inf scans the grid only.  The grid must be finite and
+    >= 0, the coupling domain, which the refinement does not leave.
     Each point x is keyed float("%.12g" % round(x, 12)), the coarser of 12
     decimals and the 12 digits the CLI prints; f gets each key once, in scan
     order, brackets centre on a key and the argmin is np.argmin's first
@@ -213,6 +203,8 @@ def refine_minimum(
         raise ValueError("grid must be nonempty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid must be finite")
+    if np.any(grid < 0.0):
+        raise ValueError("grid must be >= 0")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     values: dict[float, float] = {}

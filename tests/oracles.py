@@ -4,10 +4,11 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: dense cyclic Jacobi rotations for the tridiagonal
 eigensolver, extended-precision Sturm bisection and recurrence for the
 ground-state tails, explicit fixed-step integration for the spectral propagator,
-dense ladder-operator matrices and extended-precision moment sums for the
-moment-based witnesses, term-by-term extended-precision products for the
-loss branches and the Hartree cat states, and scipy's adaptive integrators
-for the mean-field flow and the overlap quadrature.
+dense ladder-operator matrices for the spin moments, dense ladder-operator
+matrices and extended-precision moment sums for the moment-based witnesses,
+term-by-term extended-precision products for the loss branches and the
+Hartree cat states, and scipy's adaptive integrators for the mean-field flow
+and the overlap quadrature.
 """
 
 from __future__ import annotations
@@ -128,6 +129,24 @@ def dense_hz(amps: np.ndarray, m: int) -> float:
     if den == 0:
         raise ZeroDivisionError("witness denominator vanished")
     return float(1.0 + (pop - abs(coh) ** 2) / den)
+
+
+def dense_spin_operators(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (J_X, J_Y, J_Z) on the basis |N-n>_a |n>_b, n = 0..N.
+
+    b^dag a takes |N-n, n> to sqrt(N-n) sqrt(n+1) |N-n-1, n+1>, entry by
+    entry; a^dag b is its adjoint.  J_X = (b^dag a + a^dag b)/2,
+    J_Y = (b^dag a - a^dag b)/(2i), J_Z = (a^dag a - b^dag b)/2.
+    """
+    import math
+
+    d = n_total + 1
+    bda = np.zeros((d, d))
+    for n in range(n_total):
+        bda[n + 1, n] = math.sqrt(n_total - n) * math.sqrt(n + 1)
+    adb = bda.T
+    jz = np.diag([((n_total - n) - n) / 2.0 for n in range(d)])
+    return (bda + adb) / 2.0, (bda - adb) / 2j, jz
 
 
 def mp_hz(amps: np.ndarray, m: int, dps: int = 60) -> float:

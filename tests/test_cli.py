@@ -402,6 +402,25 @@ def test_hz_bad_refine_to_rejected_before_any_solve(refine_to, tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_hz_negative_grid_rejected_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(eigensolve, "ground_state", lambda h: calls.append(h) or ground_state(h))
+    out = tmp_path / "hz.csv"
+    assert main(["hz", "--model", "sjj", "--n", "4", "--grid=-0.5:0.5:0.5", "-o", str(out)]) == 3
+    assert "grid must be >= 0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_hz_order_n_where_probabilities_underflow(tmp_path):
+    # |A_0|^2 underflows to 0 at N = 800; the order-N witness stays defined
+    rc, f = run(tmp_path, "hz.csv", ["hz", "--model", "sjj", "--n", "800", "--grid",
+                                     "0.5:0.6:0.1", "--no-refine"])
+    assert rc == 0
+    _, data = read_csv(f)
+    assert np.array_equal(data[:, 2], [1.0, 1.0])
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 from sjj.cli import main

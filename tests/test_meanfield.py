@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 from sjj import (
     MeanFieldState,
+    coherent_fock_amplitudes,
     energy_h,
     integrate,
     kappa_eff,
     lambda_eff,
+    noon_state,
     overlap_integral,
     rhs,
     steady_states,
@@ -72,6 +74,25 @@ def test_integrate_rejects_non_finite_input(Lambda, tau_max, dtau):
 def test_state_rejects_non_finite_phase(theta):
     with pytest.raises(ValueError, match="theta must be finite"):
         MeanFieldState(0.5, theta)
+
+
+_S = MeanFieldState(0.3, 0.4)
+NOT_FINITE = [
+    (rhs, (_S, math.nan)), (rhs, (_S, math.inf)),
+    (energy_h, (_S, math.nan)), (energy_h, (_S, -math.inf)),
+    (wrap_phase, (math.inf,)), (wrap_phase, (math.nan,)), (wrap_phase, (np.array([0.0, -math.inf]),)),
+    (noon_state, (4, math.nan)), (noon_state, (4, math.inf)),
+    (coherent_fock_amplitudes, (math.nan, 0.0, 4)), (coherent_fock_amplitudes, (0.6, math.nan, 4)),
+    (coherent_fock_amplitudes, (math.inf, 0.0, 4)), (coherent_fock_amplitudes, (1e200, 0.0, 4)),
+]
+
+
+@pytest.mark.parametrize("f, args", NOT_FINITE,
+                         ids=[f"{f.__name__}{args}" for f, args in NOT_FINITE])
+def test_not_finite_input_is_value_error(f, args):
+    # each used to return NaN or inf, or to fail later as an unnormalized state
+    with pytest.raises(ValueError, match="finite|must equal 1"):
+        f(*args)
 
 
 def test_integrate_stationary_at_fixed_points():

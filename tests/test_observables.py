@@ -27,7 +27,7 @@ from sjj import (
 )
 from sjj import observables
 from sjj.observables import cj_scan, refine_minimum
-from oracles import dense_hz, mp_hz, random_balanced_state, random_state
+from oracles import dense_hz, dense_spin_operators, mp_hz, random_balanced_state, random_state
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
 R2 = 1.0 / math.sqrt(2.0)
@@ -99,6 +99,31 @@ def test_casimir_identity_random_states(seed, n_total):
     assert casimir_defect(s) <= 1e-13 * j * (j + 1.0)
 
 
+def _dense_spin_states():
+    rng = np.random.default_rng(20261020)
+    for n_total in (1, 2, 5, 12):
+        for _ in range(5):
+            yield FockState(random_state(rng, n_total))
+    for kind, coupling in ((SJJ, 0.5), (SJJ, 2.001), (BJJ, 1.0)):
+        yield ground(kind, 300, coupling)[1]
+    yield coherent_fock_amplitudes(0.6, -0.8, 40)
+
+
+@pytest.mark.parametrize("s", list(_dense_spin_states()))
+def test_spin_moments_against_dense_operators(s):
+    # complex random states carry <J_Y> != 0, so its sign is checked here;
+    # the errors, scaled by N and N^2, measure below 1e-16
+    n_total = s.n_total
+    e = spin_expectations(s)
+    got = ((e.jx, e.var_jx), (e.jy, e.var_jy), (e.jz, e.var_jz))
+    for op, (mean, var) in zip(dense_spin_operators(n_total), got):
+        j_psi = op @ s.amps
+        ref_mean = np.vdot(s.amps, j_psi).real
+        ref_var = np.vdot(s.amps, op @ j_psi).real - ref_mean**2
+        assert abs(mean - ref_mean) <= 1e-12 * n_total
+        assert abs(var - ref_var) <= 1e-12 * n_total**2
+
+
 def test_hz_fixed_points():
     coh = coherent_fock_amplitudes(R2, R2, 300)
     assert abs(hz_criterion(coh, 1) - 0.5) <= 1e-10
@@ -140,6 +165,14 @@ def test_hz_highest_order_reduction(rng):
         s = FockState(amps)
         expect = 1.0 - abs(amps[-1]) ** 2
         assert abs(hz_criterion(s, n_total) - expect) <= 1e-12
+
+
+def test_hz_order_n_where_probabilities_underflow():
+    # A_0 = 3.8e-183 squares to 0; log |A_0|^2 = 2 log |A_0| keeps the
+    # denominator, and the witness is 1 - |A_N|^2, which rounds to 1
+    s = ground(SJJ, 800, 0.5)[1]
+    assert s.probabilities[0] == 0.0 and s.amps[0] != 0.0
+    assert hz_criterion(s, 800) == 1.0
 
 
 def test_hz_denominator_error():
@@ -245,6 +278,16 @@ def test_refine_minimum_stops_at_the_key_resolution(monkeypatch):
     levels.clear()
     refine_minimum(lambda x: x, [0.0, 0.5, 1.0], refine_to=1e-5)
     assert len(levels) == 5
+
+
+@pytest.mark.parametrize("grid", [[-1.0, -0.5], [-1.0, -0.5, 0.0]])
+def test_refine_minimum_rejects_negative_grid(grid):
+    # the refinement keeps to couplings >= 0: the first grid used to raise
+    # IndexError, the second to return -0.5 without refining toward -0.7
+    calls = []
+    with pytest.raises(ValueError, match="grid must be >= 0"):
+        refine_minimum(lambda x: calls.append(x) or (x + 0.7) ** 2, np.array(grid))
+    assert calls == []
 
 
 @pytest.mark.parametrize("refine_to", [-1.0, math.nan])
