@@ -42,7 +42,14 @@ Tables are formatted and written _CHUNK_ROWS rows at a time, to stdout or
 to a temp file beside the -o target that is renamed onto it at the end, so
 the writer's memory does not grow with the row count and a failed run,
 also one that fails mid-table, leaves no partial file.  The bytes are those
-of the whole document rendered at once.
+of the whole document rendered at once.  spectrum hands its rows over one
+grid point at a time, so it holds one grid point's N+1 levels at once; hz,
+meanfield and losses still build their whole table before writing it,
+bounded by _MAX_GRID_POINTS, meanfield's _MAX_STEPS and losses' _MAX_TABLE.
+The first grid point is solved before the header is written, so an error
+there leaves the output empty; on stdout, a numerical failure at a later
+grid point leaves the rows already printed (exit 4), while -o still leaves
+no file.
 
 The module imports the standard library only; each command imports the
 sjj modules it calls, and numpy with them, when it runs.  So --version,
@@ -187,14 +194,17 @@ def _comment(command: str, resolved: dict) -> str:
 _CHUNK_ROWS = 1 << 12
 
 
-def _chunks(columns: Sequence[np.ndarray], render: Callable[[list[list]], str],
+def _chunks(blocks: Iterable[Sequence[np.ndarray]], render: Callable[[list[list]], str],
             sep: str) -> Iterator[str]:
-    """render() of each chunk of rows, given as its columns' .tolist()
-    slices; chunks after the first are preceded by `sep`."""
-    rows = len(columns[0])
-    for start in range(0, rows, _CHUNK_ROWS):
-        chunk = [col[start : start + _CHUNK_ROWS].tolist() for col in columns]
-        yield (sep if start else "") + render(chunk)
+    """render() of each chunk of rows of each block, given as its columns'
+    .tolist() slices; every chunk after the first is preceded by `sep`, and
+    an empty block renders nothing."""
+    lead = ""
+    for columns in blocks:
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [col[start : start + _CHUNK_ROWS].tolist() for col in columns]
+            yield lead + render(chunk)
+            lead = sep
 
 
 def _document(command: str, resolved: dict, payload: dict) -> dict:
@@ -208,11 +218,16 @@ def _document(command: str, resolved: dict, payload: dict) -> dict:
 
 
 def _emit_table(command: str, resolved: dict, names: list[str],
-                columns: Sequence[np.ndarray]) -> None:
-    """Write a table given as 1-D numpy columns, formatted a chunk of rows at
-    a time.  A float column prints as %.12g (in JSON, the float that string
-    reads back as), an integer column as %d."""
-    floats = [col.dtype.kind == "f" for col in columns]
+                blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write a table given as a non-empty iterable of row blocks, each a list
+    of 1-D numpy columns, formatted a chunk of rows at a time.  The first
+    block is made before anything is written, so an error in making it
+    leaves the output empty.  Its dtypes set every block's format: a float
+    column prints as %.12g (in JSON, the float that string reads back as),
+    an integer column as %d."""
+    blocks = iter(blocks)
+    first = next(blocks)
+    floats = [col.dtype.kind == "f" for col in first]
     if resolved["format"] == "csv":
         line = ",".join("%.12g" if f else "%d" for f in floats) + "\n"
         head, sep, tail = f"{_comment(command, resolved)}\n{','.join(names)}\n", "", ""
@@ -230,7 +245,8 @@ def _emit_table(command: str, resolved: dict, names: list[str],
                      for col, f in zip(chunk, floats)]
             return _json(list(zip(*chunk)), dict(zip(names, chunk)))[1:-1]
 
-    _write_text(resolved["output"], itertools.chain([head], _chunks(columns, render, sep), [tail]))
+    rows = _chunks(itertools.chain([first], blocks), render, sep)
+    _write_text(resolved["output"], itertools.chain([head], rows, [tail]))
 
 
 def _emit_object(command: str, resolved: dict, payload: dict) -> None:
@@ -250,12 +266,14 @@ def _cmd_spectrum(resolved: dict) -> None:
     grid = _parse_grid(resolved["grid"])
     kind = ModelKind(resolved["model"])
     n = resolved["n"]
-    energies = [eigenvalues(build_hamiltonian(kind, n, float(c))) for c in grid]
-    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], [
-        np.repeat(grid, n + 1),
-        np.tile(np.arange(n + 1), len(grid)),
-        np.concatenate(energies),
-    ])
+    k = np.arange(n + 1)
+
+    def blocks() -> Iterator[list[np.ndarray]]:
+        for c in grid:  # solved first: a bad n is the model's domain error
+            energies = eigenvalues(build_hamiltonian(kind, n, float(c)))
+            yield [np.full(n + 1, c), k, energies]
+
+    _emit_table("spectrum", resolved, ["coupling", "k", "energy"], blocks())
 
 
 def _cmd_ground(resolved: dict) -> None:
@@ -265,11 +283,11 @@ def _cmd_ground(resolved: dict) -> None:
     from .model import ModelKind
 
     _, state = ground(ModelKind(resolved["model"]), resolved["n"], resolved["coupling"])
-    _emit_table("ground", resolved, ["n", "prob", "amp"], [
+    _emit_table("ground", resolved, ["n", "prob", "amp"], [[
         np.arange(state.n_total + 1),
         state.probabilities,
         state.amps.real,
-    ])
+    ]])
 
 
 def _cmd_hz(resolved: dict) -> None:
@@ -296,7 +314,7 @@ def _cmd_hz(resolved: dict) -> None:
     refine_minimum(hz1, grid, refine_to=resolved["refine_to"] if resolved["refine"] else math.inf)
 
     _emit_table("hz", resolved, ["coupling", "hz1", "hzN", "delta_parallel", "j_parallel"],
-                list(np.array([rows[c] for c in sorted(rows)]).T))
+                [list(np.array([rows[c] for c in sorted(rows)]).T)])
 
 
 def _cmd_meanfield(resolved: dict) -> None:
@@ -305,13 +323,13 @@ def _cmd_meanfield(resolved: dict) -> None:
     s0 = MeanFieldState(z=resolved["z0"], theta=resolved["theta0"])
     traj = integrate(s0, Lambda=resolved["coupling"], tau_max=resolved["tau_max"],
                      dtau=resolved["dtau"])
-    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], [
+    _emit_table("meanfield", resolved, ["tau", "z", "theta", "h", "drift"], [[
         traj.times,
         traj.z,
         traj.theta,
         traj.energies,
         traj.energies - traj.energies[0],
-    ])
+    ]])
 
 
 # traced rows below this joint probability are not printed: at the README
@@ -339,11 +357,11 @@ def _cmd_losses(resolved: dict) -> None:
         nonzero = np.flatnonzero(probs > 0.0)
         resolved = {**resolved, "branch_probability": float(branch.probability)}
         _emit_table("losses", resolved, ["n", "prob"],
-                    [nonzero + lb, probs[nonzero]])
+                    [[nonzero + lb, probs[nonzero]]])
         return
 
     rows = traced_mixture(state, ch, p_min=resolved["p_min"], row_min=_ROW_FLOOR)
-    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], rows)
+    _emit_table("losses", resolved, ["la", "lb", "n", "prob"], [rows])
 
 
 def _cmd_hartree(resolved: dict) -> None:

@@ -278,16 +278,39 @@ def test_meanfield_numerical_failure_exit4(tmp_path):
 
 
 def test_spectrum_solver_failure_exit4(tmp_path, monkeypatch, capsys):
+    sterf, calls = eigensolve._lapack().dsterf, []
+
     def fail(diag, offdiag):
-        return np.zeros(len(diag)), 1  # LAPACK's info > 0: no convergence
+        calls.append(None)
+        if len(calls) == failing_call:
+            return np.zeros(len(diag)), 1  # LAPACK's info > 0: no convergence
+        return sterf(diag, offdiag)
 
     monkeypatch.setattr(eigensolve._lapack(), "dsterf", fail)
+    argv = ["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5"]
     out = tmp_path / "fail.csv"
-    rc = main(["spectrum", "--model", "sjj", "--n", "10", "--grid", "1:2:0.5",
-               "-o", str(out)])
-    assert rc == 4
-    assert "numerical failure: LAPACK dsterf failed with info = 1" in capsys.readouterr().err
-    assert not out.exists()
+    # each grid point solves its even and its odd block: the first call
+    # fails the first grid point, the fourth the second one, mid-sweep
+    for failing_call in (1, 4):
+        calls.clear()
+        assert main(argv + ["-o", str(out)]) == 4
+        assert "numerical failure: LAPACK dsterf failed with info = 1" in capsys.readouterr().err
+        assert not out.exists()
+        # on stdout the grid points solved before the failure stay printed
+        calls.clear()
+        assert main(argv) == 4
+        lines = capsys.readouterr().out.splitlines()
+        solved = (failing_call - 1) // 2
+        assert len(lines) == (2 + 11 * solved if solved else 0)
+        assert all(line.startswith("1,") for line in lines[2:])
+
+
+def test_spectrum_domain_error_prints_nothing(capsys):
+    # the first grid point is solved before the header is printed
+    assert main(["spectrum", "--model", "sjj", "--n", "0", "--grid", "0:1:0.5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sjj spectrum: ")
 
 
 def test_losses_zero_probability_exit3(tmp_path, capsys):
@@ -875,14 +898,33 @@ def _whole_document(fmt, resolved, names, columns):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _blocks(columns, split):
+    """The rows of `columns` as row blocks: `split` rows a block (an empty
+    table is one empty block), in one block, or in one block with an empty
+    block inserted first, in the middle or last."""
+    if isinstance(split, int):
+        return [[col[start : start + split] for col in columns]
+                for start in range(0, max(len(columns[0]), 1), split)]
+    empty, half = [col[:0] for col in columns], len(columns[0]) // 2
+    return {"one block": [columns],
+            "empty first": [empty, columns],
+            "empty middle": [[col[:half] for col in columns], empty,
+                             [col[half:] for col in columns]],
+            "empty last": [columns, empty]}[split]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [0, 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
 def test_streamed_table_equals_whole_document(fmt, rows, tmp_path):
     names = ["i", "x", "j", "y"]
     columns = _table_columns(rows)
     out = tmp_path / f"table.{fmt}"
-    cli._emit_table("test", {"format": fmt, "output": str(out)}, names, columns)
-    assert out.read_text() == _whole_document(fmt, {"format": fmt}, names, columns)
+    whole = _whole_document(fmt, {"format": fmt}, names, columns)
+    for split in ("one block", 1, cli._CHUNK_ROWS + 1, "empty first", "empty middle",
+                  "empty last"):
+        cli._emit_table("test", {"format": fmt, "output": str(out)}, names,
+                        _blocks(columns, split))
+        assert out.read_text() == whole, split
     if fmt == "json":
         parsed = json.loads(out.read_text())["rows"]
         assert len(parsed) == rows
@@ -916,13 +958,32 @@ def test_table_memory_does_not_grow_with_rows(tmp_path):
     resolved = {"format": "csv", "output": str(tmp_path / "big.csv")}
     tracemalloc.start()
     try:
-        cli._emit_table("test", resolved, ["n", "a", "b", "c", "d"], columns)
+        cli._emit_table("test", resolved, ["n", "a", "b", "c", "d"], [columns])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the whole document took 22 MB before its .tolist() lists were counted
     assert peak < 6e6
     assert len((tmp_path / "big.csv").read_text().splitlines()) == 2 + 100_000
+
+
+def test_spectrum_memory_does_not_grow_with_grid(tmp_path):
+    # loads the solver modules and LAPACK before the measured run
+    assert main(["spectrum", "--model", "sjj", "--n", "100", "--grid", "1:2:0.5",
+                 "-o", str(tmp_path / "warm.csv")]) == 0
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["spectrum", "--model", "sjj", "--n", "100", "--grid", "0.01:10:0.005",
+                   "-o", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # 1,999 grid points of 101 levels; the whole sweep, held until it was
+    # written, peaked at 7.5 MB
+    assert peak < 2e6
+    assert len(out.read_text().splitlines()) == 2 + 1999 * 101
 
 
 SCHEMA = json.loads(
