@@ -74,6 +74,7 @@ so stderr does not depend on where sjj is installed.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
@@ -137,9 +138,23 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
     """Write the chunks in order to stdout, or atomically to `path` (a temp
     file in its directory, renamed at the end) so that a failure, also one
-    raised while the chunks are produced, leaves no partial file."""
+    raised while the chunks are produced, leaves no partial file.
+
+    An unbuffered stdout (PYTHONUNBUFFERED, python -u) is a write-through
+    text layer over the raw file, which drops what a short write leaves,
+    as a pipe write does when its reader closes; its chunks are written
+    to the raw file until every byte is taken, so a closed pipe still
+    raises BrokenPipeError."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        raw = getattr(sys.stdout, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):  # buffered, or in memory
+            sys.stdout.writelines(chunks)
+            return
+        sys.stdout.flush()
+        for chunk in chunks:
+            data = memoryview(chunk.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[raw.write(data):]
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sjj-", suffix=".tmp")

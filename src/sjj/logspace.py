@@ -22,18 +22,22 @@ def _log_factorials(size: int) -> np.ndarray:
 
 def log_factorial(n) -> np.ndarray:
     """log(n!) elementwise for integers n >= 0 (an int or an integer array),
-    looked up in a table of math.lgamma values sized to the next power of two."""
+    looked up in a table of math.lgamma values sized to the next power of two.
+    A negative n is a ValueError."""
     n = np.asarray(n)
+    if (low := n.min(initial=0)) < 0:
+        raise ValueError(f"log_factorial needs n >= 0, got {low}")
     return _log_factorials(1 << int(n.max(initial=0)).bit_length())[n]
 
 
 def logsumexp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) without overflow; -inf for an empty or all -inf x.
+    """log(sum(exp(x))) without overflow; -inf for an empty or all -inf x,
+    and nan where x holds a nan.
 
     The largest terms are taken out of the sum, as in scipy.special.logsumexp."""
     top = np.max(x, initial=-np.inf)
-    if top == -np.inf:
-        return -np.inf
+    if not top > -np.inf:  # -inf, or nan, which np.max propagates
+        return float(top)
     tops = np.count_nonzero(x == top)
     rest = np.sum(np.exp(np.where(x == top, -np.inf, x) - top)) / tops
     return float(np.log1p(rest) + np.log(tops) + top)

@@ -17,8 +17,9 @@ The environment modes are never materialized, only the reduced branch data.
 
 One log-space kernel serves every form: the traced row
 |A_n|^2 B^n_{l_a,l_b} of the output mixture, the branch probability (the
-sum of a branch's rows over n) and the conditional state (one branch's
-rows, normalized).  The binomial weights are tabulated once per state as
+sum of a branch's rows over n, formed by the scan alone) and the
+conditional state (one branch's rows, normalized, with the scan's
+probability).  The binomial weights are tabulated once per state as
 two tables, one loss count per row, and the (l_a, l_b, n) row tensor is
 scanned one l_a at a time.  Mode a holds at most N particles, so a branch
 probability is at most the binomial tail P(Bin(N, 1-eta_a) >= l_a), and
@@ -191,21 +192,16 @@ def _scan(k: _Kernel, row_min: float) -> tuple[np.ndarray, tuple[np.ndarray, ...
     return prob, tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _branch(k: _Kernel, l_a: int, l_b: int) -> ConditionalState:
-    """Conditional state of one branch from its slice of the kernel, with
-    :func:`_scan`'s probability bits: rows summed over n <= N - l_a, the
-    mean of the two sums for a mirror pair."""
-    N = len(k.log_p) - 1
-    pairs = [(l_a, l_b), (l_b, l_a)] if k.mirror else [(l_a, l_b)]
-    probability = float(np.mean([np.exp(k.log_ta[a, : N - a + 1] + k.log_tb[b, : N - a + 1]
-                                        + k.log_p[: N - a + 1]).sum() for a, b in pairs]))
-    n = slice(l_b, N - l_a + 1)
-    log_w = k.log_ta[l_a, n] + k.log_tb[l_b, n]
-    log_rows = log_w + k.log_p[n]
+def _branch(k: _Kernel, l_a: int, l_b: int, probability: float) -> ConditionalState:
+    """Normalized state of one branch from its slice of the kernel; the
+    probability is the branch's entry of :func:`_scan`'s table."""
     if probability == 0.0:
         raise ZeroProbabilityBranchError(
             f"detection event (l_a={l_a}, l_b={l_b}) has zero probability"
         )
+    n = slice(l_b, len(k.log_p) - l_a)
+    log_w = k.log_ta[l_a, n] + k.log_tb[l_b, n]
+    log_rows = log_w + k.log_p[n]
     top = float(np.max(log_rows))
     # A_n sqrt(B^n) scaled by exp(-top/2) so the largest |amplitude|^2 is 1:
     # the tails keep their size relative to it wherever they stay above the
@@ -221,19 +217,21 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
     """Normalized branch state after detecting (l_a, l_b) lost particles.
 
     Unnormalized amplitudes A_n sqrt(B^n_{l_a,l_b}) over n in [l_b, N-l_a],
-    re-indexed to the (N - l_a - l_b)-particle basis; the branch probability
-    is sum_n |A_n|^2 B^n, the sum of the branch's traced rows, bit for bit.  A
-    zero-probability branch (an impossible detection event, e.g.
-    simultaneous loss from both modes of an ideal N00N state) raises
-    :class:`ZeroProbabilityBranchError`.
+    re-indexed to the (N - l_a - l_b)-particle basis.  The branch
+    probability sum_n |A_n|^2 B^n is read from the scan of the loss counts
+    0..max(l_a, l_b), which holds the branch and its mirror partner, so it
+    is :func:`loss_mixture`'s bit for bit.  A zero-probability branch (an
+    impossible detection event, e.g. simultaneous loss from both modes of
+    an ideal N00N state) raises :class:`ZeroProbabilityBranchError`.
     """
     N = s.n_total
     if l_a < 0 or l_b < 0:
         raise ValueError("loss counts must be >= 0")
     if l_a + l_b > N:
         raise ValueError(f"cannot lose {l_a}+{l_b} particles out of {N}")
-    # max(l_a, l_b) + 1 loss counts hold the branch and its mirror partner
-    return _branch(_kernel(s, ch, max(l_a, l_b) + 1), l_a, l_b)
+    k = _kernel(s, ch, max(l_a, l_b) + 1)
+    prob, _ = _scan(k, math.inf)
+    return _branch(k, l_a, l_b, float(prob[l_a, l_b]))
 
 
 def _check_min(name: str, value: float) -> None:
@@ -257,7 +255,7 @@ def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[Cond
     prob, _ = _scan(k, math.inf)
     la, lb = np.nonzero((prob >= p_min) & (prob > 0.0))
     order = np.argsort(-prob[la, lb], kind="stable")  # ties stay in (l_a, l_b) order
-    return [_branch(k, a, b) for a, b in zip(la[order].tolist(), lb[order].tolist())]
+    return [_branch(k, a, b, float(prob[a, b])) for a, b in zip(la[order].tolist(), lb[order].tolist())]
 
 
 class TracedRows(NamedTuple):

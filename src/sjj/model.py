@@ -105,12 +105,14 @@ class TridiagonalHamiltonian:
 @dataclass(frozen=True, eq=False)
 class FockState:
     """Normalized two-mode state: amps[n] multiplies |N-n>_a |n>_b, stored as
-    a read-only copy."""
+    a read-only copy.  amps must be 1-D (ValueError otherwise)."""
 
     amps: np.ndarray
 
     def __post_init__(self):
         amps = _read_only(self.amps, complex)
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be 1-D, got shape {amps.shape}")
         norm2 = float(np.sum(np.abs(amps) ** 2))
         # written so that a NaN norm fails it too
         if not abs(norm2 - 1.0) <= 1e-12:

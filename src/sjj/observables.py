@@ -95,7 +95,10 @@ def spin_expectations(s: FockState) -> SpinExpectations:
 
 
 def mean_imbalance(s: FockState) -> float:
-    """<z> = -2 <J_Z> / N, matching the mean-field sign convention."""
+    """<z> = -2 <J_Z> / N, matching the mean-field sign convention; a
+    ValueError at N = 0, where it is undefined."""
+    if s.n_total == 0:
+        raise ValueError("mean_imbalance is undefined at N = 0")
     return -2.0 * spin_expectations(s).jz / s.n_total
 
 
@@ -114,12 +117,17 @@ def hz_criterion(s: FockState, m: int) -> float:
     finite for any 1 <= m <= N.  Where |A_n|^2 underflows to 0 but A_n does
     not, log |A_n|^2 is taken as 2 log |A_n|; the result is undefined
     (UndefinedCriterionError) only when every A_n with n <= N - m is 0 in
-    double precision.  Values in [0, 1) witness entanglement.
+    double precision.  At m = N only |N, 0> and |0, N> hold N particles in
+    one mode, so the population moment is 0, |coh|^2/den = |A_N|^2 and
+    E = 1 - |A_N|^2 exactly whenever A_0 != 0 (the log-space sums would lose
+    ~eps log(N!)).  Values in [0, 1) witness entanglement.
     """
     N = s.n_total
     if not 1 <= m <= N:
         raise ValueError(f"order must satisfy 1 <= m <= {N}, got {m}")
     amps = s.amps
+    if m == N and amps[0] != 0:
+        return 1.0 - float(abs(amps[N]) ** 2)
     probs = s.probabilities
     n = np.arange(N + 1)
 
@@ -163,8 +171,10 @@ def hz1_from_spins(s: FockState) -> float:
 
     Equals hz_criterion(s, 1) whenever the modes are equally populated
     (<N_a> = N/2), which covers every mirror-symmetric state this package
-    produces.
+    produces.  A ValueError at N = 0, where <J> = 0.
     """
+    if s.n_total == 0:
+        raise ValueError("hz1_from_spins is undefined at N = 0")
     e = spin_expectations(s)
     return (e.var_jx + e.var_jy) / e.j_total
 

@@ -852,6 +852,22 @@ def test_stdout_output(capsys):
     assert len(lines) == 2 + 5
 
 
+@pytest.mark.parametrize("argv", [GROUND, ["meanfield", "--coupling", "4", "--tau-max", "10"]],
+                         ids=["ground", "meanfield"])
+def test_stdout_in_memory_and_unbuffered(argv, tmp_path):
+    # an in-memory stdout and a write-through one over a raw file both get
+    # the bytes -o writes, also over several 4,096-row chunks
+    _, expected = run(tmp_path, "o.csv", argv)
+    memory = io.StringIO()
+    with contextlib.redirect_stdout(memory):
+        assert main(argv) == 0
+    with open(tmp_path / "raw.csv", "wb", buffering=0) as raw:
+        with contextlib.redirect_stdout(io.TextIOWrapper(raw, write_through=True)):
+            assert main(argv) == 0
+        raw_bytes = (tmp_path / "raw.csv").read_bytes()
+    assert memory.getvalue().encode() == raw_bytes == expected.read_bytes()
+
+
 def test_closed_stdout_pipe_exits_141_silently():
     # about 120 KB of rows, more than a 64 KiB pipe buffer holds
     with subprocess.Popen(
@@ -863,6 +879,37 @@ def test_closed_stdout_pipe_exits_141_silently():
         child.stdout.close()
         err = child.stderr.read()
     # one assertion, so that a failure shows both
+    assert (child.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"") == (141, b"")
+
+
+def test_closed_stdout_pipe_mid_write_exits_141_unbuffered():
+    # with PYTHONUNBUFFERED set, stdout is a write-through text layer over
+    # the raw pipe; once the child is blocked in its one ~116 KB write,
+    # closing the reader makes that write return a short count, and only a
+    # retry of the rest meets the closed pipe.  The child is blocked once
+    # the pipe holds more than its capacity less one page: every page is
+    # then taken, and the page the readline left part-read is not refilled
+    import fcntl
+    import struct
+    import termios
+    import time
+
+    with subprocess.Popen(
+        [sys.executable, "-m", "sjj.cli", "ground", "--model", "sjj", "--n", "3000",
+         "--coupling", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+    ) as child:
+        assert child.stdout.readline().startswith(b"# sjj ")
+        fd = child.stdout.fileno()
+        full = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) - os.sysconf("SC_PAGE_SIZE")
+        deadline = time.monotonic() + 60.0
+        while (queued := struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]) \
+                <= full and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert queued > full
+        child.stdout.close()
+        err = child.stderr.read()
     assert (child.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"") == (141, b"")
 
 

@@ -38,8 +38,17 @@ def test_logsumexp_matches_scipy(rng):
         assert logsumexp(x) == scipy.special.logsumexp(x)
 
 
+def test_log_factorial_rejects_negative_n():
+    for n in (-1, np.array([3, -2, 5])):
+        with pytest.raises(ValueError, match="n >= 0"):
+            log_factorial(n)
+
+
 def test_logsumexp_edges():
     assert logsumexp(np.array([])) == -np.inf
+    # a nan propagates, as in scipy, with no divide-by-zero warning
+    for x in ([np.nan, 1.0], [1.0, np.nan, np.inf], [np.nan]):
+        assert math.isnan(logsumexp(np.array(x))) and math.isnan(scipy.special.logsumexp(x))
     assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
     assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0), rel=1e-15)
     assert logsumexp(np.array([-800.0])) == -800.0

@@ -1,4 +1,5 @@
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -191,10 +192,10 @@ def test_mixture_mirror_pairs_ordered_by_loss_counts(n_total, coupling):
 @pytest.mark.parametrize("n_total,eta", [(12, (0.9, 0.8)), (60, (0.97, 0.97))],
                          ids=["asym", "mirror"])
 def test_mixture_and_conditional_probabilities_agree_bitwise(n_total, eta):
-    # one sum per branch probability: a branch sums its rows over
-    # n <= N - l_a as the scan does (a sum over l_b <= n <= N - l_a rounds
-    # differently for 7 of the 91 asym branches), and for a mirror state the
-    # pair is symmetrised alike, so the mixture stays sorted by its values
+    # every branch probability is read from a scan's table, where each
+    # branch is summed once and a mirror pair symmetrised once, so the
+    # mixture and a conditional state agree and the mixture stays sorted by
+    # its values
     _, g = ground(ModelKind.SJJ, n_total, 4.0)
     ch = LossChannel(*eta)
     mix = loss_mixture(g, ch)
@@ -425,9 +426,8 @@ def test_mixture_floor_is_a_cut(eta, state, rng):
         assert all(np.array_equal(b.state.amps, w.state.amps) for b, w in zip(cut, want))
 
 
-def readme_exp_values(monkeypatch, p_min: float) -> int:
-    """How many values the traced README table (SJJ, N = 300, coupling 4,
-    eta = 0.999, rows >= 1e-100) with this p_min passes to exp."""
+def exp_values(monkeypatch, call: Callable[[], object]) -> int:
+    """How many values call() makes the losses module pass to exp."""
     counted = []
 
     class CountingNumpy:
@@ -438,10 +438,17 @@ def readme_exp_values(monkeypatch, p_min: float) -> int:
             counted.append(np.size(x))
             return np.exp(x, *args, **kwargs)
 
-    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
     monkeypatch.setattr(losses, "np", CountingNumpy())
-    traced_mixture(g, LossChannel(0.999, 0.999), p_min=p_min, row_min=1e-100)
+    call()
     return sum(counted)
+
+
+def readme_exp_values(monkeypatch, p_min: float) -> int:
+    """How many values the traced README table (SJJ, N = 300, coupling 4,
+    eta = 0.999, rows >= 1e-100) with this p_min passes to exp."""
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
+    return exp_values(monkeypatch, lambda: traced_mixture(
+        g, LossChannel(0.999, 0.999), p_min=p_min, row_min=1e-100))
 
 
 def test_readme_loss_scan_work_bounded(monkeypatch):
@@ -453,6 +460,15 @@ def test_readme_loss_scan_work_bounded(monkeypatch):
 def test_readme_p_min_loss_scan_work_bounded(monkeypatch):
     # --p-min 1e-6 cuts each table to 7 loss counts
     assert readme_exp_values(monkeypatch, 1e-6) == 14_602
+
+
+def test_mixture_probabilities_come_from_the_one_scan(monkeypatch):
+    # the scan's 14,602 values, as for the traced table above, and two per
+    # amplitude of each of the 12 branches (7,160) for its state; no branch
+    # sums its rows a second time
+    _, g = ground_state(build_hamiltonian(ModelKind.SJJ, 300, 4.0))
+    count = exp_values(monkeypatch, lambda: loss_mixture(g, LossChannel(0.999, 0.999), p_min=1e-6))
+    assert count == 21_762
 
 
 def test_loss_tables_bounded_before_allocation(rng, monkeypatch):

@@ -137,6 +137,13 @@ def test_fock_state_validation():
         s.amps[0] = 0.0  # amplitudes are read-only
 
 
+@pytest.mark.parametrize("amps", [np.full((2, 2), 0.5), np.array(1.0)], ids=["2-D", "0-D"])
+def test_fock_state_rejects_non_vector_amplitudes(amps):
+    # a normalized 2-D array would read as N = 1 and break every observable
+    with pytest.raises(ValueError, match="amplitudes must be 1-D"):
+        FockState(amps)
+
+
 @pytest.mark.parametrize("coupling", [10**400, -10**400], ids=["10^400", "-10^400"])
 def test_params_int_coupling_beyond_float_range(coupling):
     # math.isfinite raises OverflowError on such an int; the documented

@@ -72,6 +72,15 @@ def test_mean_imbalance_sign():
     assert mean_imbalance(FockState(all_b)) == 1.0
 
 
+@pytest.mark.parametrize("observable", [mean_imbalance, hz1_from_spins])
+def test_zero_particle_state_is_a_value_error(observable):
+    # losing all 10 atoms from mode a leaves the N = 0 state
+    empty = conditional_state(ground(SJJ, 10, 4.0)[1], 10, 0, LossChannel(0.9, 0.9)).state
+    assert empty.n_total == 0
+    with pytest.raises(ValueError, match="undefined at N = 0"):
+        observable(empty)
+
+
 def test_casimir_identity_everywhere(rng):
     states = [
         coherent_fock_amplitudes(R2, R2, 300),
@@ -167,9 +176,19 @@ def test_hz_highest_order_reduction(rng):
         assert abs(hz_criterion(s, n_total) - expect) <= 1e-12
 
 
+@pytest.mark.parametrize("n_total", [300, 1000])
+def test_hz_order_n_exact(n_total):
+    # 1 - |A_N|^2 in place of the log-space moment sums, which lose about
+    # eps log(N!): up to 1.4e-13 at N = 300 and 1.7e-13 at N = 1000 on
+    # these states
+    for coupling in (0.5, 2.001, 2.025, 2.1, 4.0):
+        s = ground(SJJ, n_total, coupling)[1]
+        assert abs(hz_criterion(s, n_total) - mp_hz(s.amps, n_total, 50)) <= 2.3e-16, coupling
+
+
 def test_hz_order_n_where_probabilities_underflow():
-    # A_0 = 3.8e-183 squares to 0; log |A_0|^2 = 2 log |A_0| keeps the
-    # denominator, and the witness is 1 - |A_N|^2, which rounds to 1
+    # A_0 = 3.8e-183 squares to 0 but is not 0, so the witness is defined:
+    # 1 - |A_N|^2, which rounds to 1
     s = ground(SJJ, 800, 0.5)[1]
     assert s.probabilities[0] == 0.0 and s.amps[0] != 0.0
     assert hz_criterion(s, 800) == 1.0
@@ -178,8 +197,9 @@ def test_hz_order_n_where_probabilities_underflow():
 def test_hz_denominator_error():
     all_b = np.zeros(8, dtype=complex)
     all_b[-1] = 1.0
-    with pytest.raises(UndefinedCriterionError):
-        hz_criterion(FockState(all_b), 1)
+    for m in (1, 7):  # at m = N too, where A_0 = 0
+        with pytest.raises(UndefinedCriterionError):
+            hz_criterion(FockState(all_b), m)
     with pytest.raises(ValueError):
         hz_criterion(noon_state(4), 0)
     with pytest.raises(ValueError):
