@@ -55,8 +55,8 @@ from typing import Callable
 import numpy as np
 
 from . import _EXPORTS
-from .model import (FockState, ModelKind, TridiagonalHamiltonian, apply_hamiltonian,
-                    build_hamiltonian)
+from .model import (FockState, ModelKind, TridiagonalHamiltonian, _mirror_fill,
+                    apply_hamiltonian, build_hamiltonian)
 
 __all__ = list(_EXPORTS["eigensolve"])
 
@@ -83,8 +83,10 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Full eigendecomposition: ascending energies (units kappa*N) and
-    orthonormal eigenvectors, column k belonging to energies[k]."""
+    """Full eigendecomposition: energies (units kappa*N), level 2j the j-th
+    even level and 2j+1 the j-th odd one (ascending but for an ulp inside a
+    degenerate doublet), and orthonormal eigenvectors, column k belonging to
+    energies[k]."""
 
     energies: np.ndarray
     vectors: np.ndarray
@@ -157,19 +159,6 @@ def _sectors(h: TridiagonalHamiltonian) -> tuple[_Block, _Block]:
     even_diag[-1] += offdiag[c]
     odd_diag[-1] -= offdiag[c]
     return (even_diag, offdiag[:c]), (odd_diag, offdiag[:c])
-
-
-def _unfold(block_vectors: np.ndarray, dim: int, parity: float) -> np.ndarray:
-    """Fock-basis columns (|n> + parity |N-n>)/sqrt(2) from block vectors;
-    row c of an even block (N even) is the centre |c> itself."""
-    pairs = dim // 2
-    low = block_vectors[:pairs] / math.sqrt(2.0)
-    out = np.zeros((dim, block_vectors.shape[1]))
-    out[:pairs] = low
-    out[dim - pairs :] = parity * low[::-1]
-    if len(block_vectors) > pairs:
-        out[pairs] = block_vectors[pairs]
-    return out
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -301,7 +290,7 @@ def _even_ground_vector(
     log_fwd = np.concatenate(([0.0], np.cumsum(np.log(ratios[:peak]))))
     log_bwd = np.concatenate(([0.0], np.cumsum(np.log(ratios[peak:]))))[::-1]
     low = np.concatenate((log_fwd, log_bwd[1:] - log_bwd[0] + log_fwd[-1]))
-    log_a = np.concatenate((low, low[: N + 1 - len(low)][::-1]))
+    log_a = _mirror_fill(low, N + 1)
     amps = np.exp(log_a - np.max(log_a))
     return amps / np.linalg.norm(amps)
 
@@ -309,19 +298,27 @@ def _even_ground_vector(
 def eigen_decompose(h: TridiagonalHamiltonian) -> Spectrum:
     """Full spectrum of a tridiagonal Hamiltonian, deterministic output.
 
-    The even block's vectors fill columns 0, 2, 4, ... and the odd block's
-    columns 1, 3, 5, ..., each even or odd bit for bit; the energies are the
-    sorted union of both blocks' levels.
+    Level 2j is the j-th level of the even block and level 2j+1 the j-th
+    level of the odd block, so column k of the vectors, even or odd bit for
+    bit, belongs to energies[k].  The energies ascend except where rounding
+    puts the odd member of a degenerate doublet an ulp below the even one.
     """
     (even_e, even_v), (odd_e, odd_v) = (
         _tridiagonal(*block, vectors=True) for block in _sectors(h)
     )
     dim = len(h.diag)
-    energies = np.sort(np.concatenate((even_e, odd_e)))
-    vectors = np.empty((dim, dim))
-    vectors[:, 0::2] = _unfold(even_v, dim, 1.0)
-    vectors[:, 1::2] = _unfold(odd_v, dim, -1.0)
+    pairs = dim // 2
+    # rows 0..N//2 of (|n> +- |N-n>)/sqrt(2); row c of an even block (N even)
+    # is the centre |c> itself, where every odd vector is 0
+    low = np.zeros(((dim + 1) // 2, dim))
+    low[:pairs, 0::2] = even_v[:pairs] / math.sqrt(2.0)
+    low[pairs:, 0::2] = even_v[pairs:]
+    low[:pairs, 1::2] = odd_v / math.sqrt(2.0)
+    vectors = _mirror_fill(low, dim)
+    vectors[len(low):, 1::2] *= -1.0
     vectors = _fix_signs(vectors)
+    energies = np.empty(dim)
+    energies[0::2], energies[1::2] = even_e, odd_e
     vectors.setflags(write=False)
     energies.setflags(write=False)
     return Spectrum(energies=energies, vectors=vectors)

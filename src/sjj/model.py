@@ -129,8 +129,9 @@ class FockState:
 
 
 def _mirror_fill(low: np.ndarray, size: int) -> np.ndarray:
-    """Assemble a mirror-symmetric array from its lower half (bit-exact)."""
-    out = np.empty(size)
+    """Assemble an array of ``size`` rows, mirror-symmetric along its first
+    axis, from its lower rows (bit-exact); ``low`` is 1-D or 2-D."""
+    out = np.empty((size, *low.shape[1:]))
     half = len(low)
     out[:half] = low
     out[half:] = low[: size - half][::-1]

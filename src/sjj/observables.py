@@ -143,7 +143,7 @@ def hz_criterion(s: FockState, m: int) -> float:
     # <a^m b+^m>: couples A_{n+m} and A_n; amplitude moduli are <= 1 and are
     # kept out of log space, only the factorial scale K is factored out
     idx = n[: N + 1 - m]
-    log_fac = 0.5 * (lff_a[idx] + _log_falling(idx + m, m))
+    log_fac = 0.5 * (lff_a[idx] + log_rise[idx])
     pair = np.conj(amps[idx + m]) * amps[idx]
     nonzero = pair != 0
     if np.any(nonzero):
@@ -259,7 +259,6 @@ def crossover_coupling(
     n_total: int,
     criterion: str = "bimodal",
     tol: float = 1e-7,
-    bracket: tuple[float, float] | None = None,
 ) -> float:
     """Smallest coupling at which the ground state switches character.
 
@@ -275,8 +274,9 @@ def crossover_coupling(
     * "hz_jump": the first-order witness has jumped above 0.75.
 
     Bisection to ``tol`` >= 0 in coupling, or until the bracket's ends are
-    adjacent floats; the initial bracket expands upward by doubling until the
-    predicate holds.
+    adjacent floats.  The bracket starts at (0.25, 4) and its top doubles,
+    up to 1e6, until the predicate holds there; a predicate that already
+    holds at coupling 0.25 is a ValueError.
     """
     if n_total < 4:
         raise ValueError(f"n_total must be >= 4, got {n_total}")
@@ -294,12 +294,10 @@ def crossover_coupling(
             return float(np.max(p)) > p[n_total // 2] * (1.0 + 1e-9)
         return hz_criterion(state, 1) >= 0.75
 
-    if bracket is None:
-        lo, hi = 0.25, 4.0
-    else:
-        lo, hi = bracket
+    lo, hi = 0.25, 4.0
     if predicate(lo):
-        raise ValueError(f"predicate already satisfied at bracket low {lo}")
+        raise ValueError(f"criterion {criterion!r} already holds at coupling {lo}, "
+                         "the lowest coupling searched")
     while not predicate(hi):
         hi *= 2.0
         if hi > 1e6:

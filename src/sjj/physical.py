@@ -15,8 +15,9 @@ with the cross-model bridge Lambda = wp * lambda^2, wp = pi kappa / (2 nu).
 The tunneling rate K is always an input; it depends on the transverse
 wave-function overlap, which is outside the scope of this package.
 
-Constants (6 significant figures): hbar = 1.05457e-34 J s, atomic mass
-unit = 1.66054e-27 kg, m(7Li) = 7.01600 u, m(87Rb) = 86.9092 u.
+Constants (hbar and the atomic mass unit are the CODATA 2018 values, to 10
+significant figures; the masses have 9): hbar = 1.054571817e-34 J s, atomic
+mass unit = 1.660539069e-27 kg, m(7Li) = 7.01600344 u, m(87Rb) = 86.9091805 u.
 """
 
 from __future__ import annotations

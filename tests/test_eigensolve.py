@@ -384,6 +384,24 @@ def test_eigen_decompose_ground_column_even_when_odd_level_computes_lower():
     assert np.max(np.abs(state.amps - column)) <= 1e-13
 
 
+@pytest.mark.parametrize("kind, n_total, coupling, columns", [
+    (SJJ, 50, 3.0, (0,)), (BJJ, 100, 2.5, (0, 2, 4, 6, 8)), (SJJ, 20, 12.0, (2,))])
+def test_eigen_decompose_energies_in_parity_order(kind, n_total, coupling, columns):
+    # level 2j is the j-th even level and 2j+1 the j-th odd one, bit for bit,
+    # also where the odd member of a doublet computes below the even one, so
+    # that sorting the levels would pair even column k with the odd level
+    h = build_hamiltonian(kind, n_total, coupling)
+    (even_e, _), (odd_e, _) = (scipy.linalg.eigh_tridiagonal(*block, lapack_driver="stevd")
+                               for block in eigensolve._sectors(h))
+    spec = eigen_decompose(h)
+    assert np.array_equal(spec.energies[0::2], even_e)
+    assert np.array_equal(spec.energies[1::2], odd_e)
+    for k in columns:
+        assert spec.energies[k + 1] < spec.energies[k]
+        column = spec.vectors[:, k]
+        assert np.array_equal(column, column[::-1])
+
+
 STURM_SIZES = (1, 2, 3, 4, 5, 40, 300, 301, 1000)
 STURM_COUPLINGS = (0.0, 0.5, 2.0009925, 4.0, 8.0)
 ULP = np.finfo(float).eps
@@ -466,6 +484,21 @@ def test_ground_is_ground_state_of_built_chain(kind, n_total):
         assert np.array_equal(state.amps, ref.amps)
 
 
+def _fock_columns(block_vectors, dim, parity):
+    # row n of the Fock column of block vector v is v[n] / sqrt(2) for
+    # n < N/2 and parity v[N-n] / sqrt(2) for n > N/2; the centre row
+    # n = N/2 (N even) is v[N/2] in an even block and 0 in an odd one
+    N = dim - 1
+    out = np.zeros((dim, block_vectors.shape[1]))
+    for n in range(dim):
+        m = min(n, N - n)
+        if 2 * n == N:
+            out[n] = block_vectors[m] if m < len(block_vectors) else 0.0
+        else:
+            out[n] = (parity if n > m else 1.0) * (block_vectors[m] / math.sqrt(2.0))
+    return out
+
+
 def _assert_lapack_matches_scipy(h):
     # the levels and vectors are those of scipy's public wrappers on the
     # same blocks, bit for bit: the same LAPACK routines, called directly
@@ -477,10 +510,11 @@ def _assert_lapack_matches_scipy(h):
     spec = eigen_decompose(h)
     (even_e, even_v), (odd_e, odd_v) = solved
     dim = len(h.diag)
-    energies = np.sort(np.concatenate((even_e, odd_e)))
+    energies = np.empty(dim)
+    energies[0::2], energies[1::2] = even_e, odd_e
     vectors = np.empty((dim, dim))
-    vectors[:, 0::2] = eigensolve._unfold(even_v, dim, 1.0)
-    vectors[:, 1::2] = eigensolve._unfold(odd_v, dim, -1.0)
+    vectors[:, 0::2] = _fock_columns(even_v, dim, 1.0)
+    vectors[:, 1::2] = _fock_columns(odd_v, dim, -1.0)
     assert np.array_equal(spec.energies, energies)
     assert np.array_equal(spec.vectors, eigensolve._fix_signs(vectors))
 

@@ -26,6 +26,7 @@ from sjj import (
     spin_expectations,
 )
 from sjj import observables
+from sjj.cli import main
 from sjj.observables import cj_scan, refine_minimum
 from oracles import dense_hz, dense_spin_operators, mp_hz, random_balanced_state, random_state
 
@@ -374,8 +375,6 @@ def test_crossover_default_values():
     assert 2.000 <= sjj <= 2.002
     bjj = crossover_coupling(BJJ, 300)
     assert 0.95 <= bjj <= 1.15
-    # a bracket whose top is below the flip doubles it up to 4 first
-    assert abs(crossover_coupling(SJJ, 300, bracket=(0.25, 0.5)) - sjj) <= 1e-7
 
 
 def test_crossover_edge_predicate():
@@ -401,13 +400,20 @@ def test_crossover_small_and_monotone():
     assert values[0] > values[1] > values[2]
 
 
-def test_crossover_validation(monkeypatch):
+def test_crossover_validation(monkeypatch, capsys):
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 3)
     with pytest.raises(ValueError):
         crossover_coupling(SJJ, 300, criterion="nope")
-    with pytest.raises(ValueError):
-        crossover_coupling(SJJ, 300, bracket=(3.0, 4.0))  # already past the flip
+    # at N = 4 the first-order witness is 0.830 at coupling 0.25, already
+    # past the jump at the lowest coupling searched
+    held = "criterion 'hz_jump' already holds at coupling 0.25, the lowest coupling searched"
+    with pytest.raises(ValueError, match=held):
+        crossover_coupling(SJJ, 4, criterion="hz_jump")
+    assert main(["crossover", "--model", "sjj", "--n", "4", "--criterion", "hz_jump"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sjj crossover: {held}\n"
     # a witness that never jumps stops the bracket doubling past 1e6
     monkeypatch.setattr(observables, "hz_criterion", lambda state, m: 0.0)
     with pytest.raises(ValueError, match="never satisfied"):
