@@ -29,7 +29,7 @@ _EXPORTS = {
     "model": ("ModelKind", "TridiagonalHamiltonian", "FockState",
               "build_hamiltonian", "apply_hamiltonian"),
     "eigensolve": ("Spectrum", "EigensolveError", "eigen_decompose", "eigenvalues",
-                   "ground_state", "ground", "propagate", "energy_gap"),
+                   "ground_state", "ground", "energy_gap"),
     "meanfield": ("MeanFieldState", "Trajectory", "SteadyState", "MeanFieldIntegrationError",
                   "rhs", "energy_h", "integrate", "steady_states", "overlap_integral",
                   "kappa_eff", "lambda_eff", "wrap_phase"),

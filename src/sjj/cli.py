@@ -138,7 +138,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
     """Write the chunks in order to stdout, or atomically to `path` (a temp
     file in its directory, renamed at the end) so that a failure, also one
-    raised while the chunks are produced, leaves no partial file.
+    raised while the chunks are produced, leaves no partial file.  A path
+    that cannot be written is a usage error.
 
     An unbuffered stdout (PYTHONUNBUFFERED, python -u) is a write-through
     text layer over the raw file, which drops what a short write leaves,
@@ -157,14 +158,17 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
                 data = data[raw.write(data):]
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sjj-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sjj-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # a missing directory, a directory as target
+            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

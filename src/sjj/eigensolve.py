@@ -1,9 +1,10 @@
-"""Eigendecomposition and spectral time propagation of two-mode Hamiltonians.
+"""Eigendecomposition of two-mode Hamiltonians.
 
 The matrices are symmetric tridiagonal.  ``eigen_decompose`` gets every
 level with its vector from LAPACK's divide and conquer (``stevd``) and
-serves ``propagate``; ``eigenvalues`` gets the energies alone from LAPACK's
-root-free QR iteration (``sterf``) and serves the spectrum sweep.  Both
+serves the dense-oracle acceptance checks and library callers;
+``eigenvalues`` gets the energies alone from LAPACK's root-free QR
+iteration (``sterf``) and serves the spectrum sweep.  Both
 routines are called by name on scipy's compiled LAPACK module
 ``scipy.linalg._flapack``, loaded from its file on the first of those calls
 (``_lapack``); nothing here imports ``scipy.linalg``.  ``ground_state`` and
@@ -363,25 +364,6 @@ def ground_state(h: TridiagonalHamiltonian) -> tuple[float, FockState]:
 def ground(kind: ModelKind, n_total: int, coupling: float) -> tuple[float, FockState]:
     """Lowest eigenpair of the model Hamiltonian built at (kind, N, coupling)."""
     return ground_state(build_hamiltonian(kind, n_total, coupling))
-
-
-def propagate(
-    h: TridiagonalHamiltonian,
-    s0: FockState,
-    tau: float,
-    spectrum: Spectrum | None = None,
-) -> FockState:
-    """Evolve A(0) to A(tau) = sum_k (v_k . A(0)) exp(-i E_k tau) v_k.
-
-    tau is dimensionless time (kappa N t).  Exact up to decomposition error,
-    so the norm is preserved to ~1e-15.  Pass ``spectrum`` to reuse a
-    decomposition across many times.
-    """
-    if spectrum is None:
-        spectrum = eigen_decompose(h)
-    coeffs = spectrum.vectors.T @ s0.amps
-    amps = spectrum.vectors @ (np.exp(-1j * spectrum.energies * tau) * coeffs)
-    return FockState(amps)
 
 
 def energy_gap(h: TridiagonalHamiltonian) -> float:

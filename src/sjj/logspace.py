@@ -23,8 +23,11 @@ def _log_factorials(size: int) -> np.ndarray:
 def log_factorial(n) -> np.ndarray:
     """log(n!) elementwise for integers n >= 0 (an int or an integer array),
     looked up in a table of math.lgamma values sized to the next power of two.
-    A negative n is a ValueError."""
+    A negative n, or an n of any other dtype (bool, float), is a ValueError:
+    indexing the table with it would mask or fail."""
     n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"log_factorial needs integers, got dtype {n.dtype}")
     if (low := n.min(initial=0)) < 0:
         raise ValueError(f"log_factorial needs n >= 0, got {low}")
     return _log_factorials(1 << int(n.max(initial=0)).bit_length())[n]

@@ -3,12 +3,11 @@
 Each oracle deliberately takes a different computational route from the
 library code it checks: dense cyclic Jacobi rotations for the tridiagonal
 eigensolver, extended-precision Sturm bisection and recurrence for the
-ground-state tails, explicit fixed-step integration for the spectral propagator,
-dense ladder-operator matrices for the spin moments, dense ladder-operator
-matrices and extended-precision moment sums for the moment-based witnesses,
-term-by-term extended-precision products for the loss branches and the
-Hartree cat states, and scipy's adaptive integrators for the mean-field flow
-and the overlap quadrature.
+ground-state tails, dense ladder-operator matrices for the spin moments,
+dense ladder-operator matrices and extended-precision moment sums for the
+moment-based witnesses, term-by-term extended-precision products for the
+loss branches and the Hartree cat states, and scipy's adaptive integrators
+for the mean-field flow and the overlap quadrature.
 """
 
 from __future__ import annotations
@@ -73,29 +72,6 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
-
-
-def rk4_schrodinger(
-    diag: np.ndarray, offdiag: np.ndarray, amps0: np.ndarray, tau: float, dt: float
-) -> np.ndarray:
-    """Explicit 4th-order integration of i dA/dtau = H A on the tridiagonal H."""
-
-    def deriv(y):
-        out = diag * y
-        out = out.astype(complex)
-        out[:-1] += offdiag * y[1:]
-        out[1:] += offdiag * y[:-1]
-        return -1j * out
-
-    steps = int(round(tau / dt))
-    y = np.asarray(amps0, dtype=complex).copy()
-    for _ in range(steps):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * dt * k1)
-        k3 = deriv(y + 0.5 * dt * k2)
-        k4 = deriv(y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 def dense_hz(amps: np.ndarray, m: int) -> float:

@@ -745,6 +745,20 @@ def test_unusable_config_file_is_usage_error(text, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [GROUND, ["hartree", "--coupling", "2", "--n", "40"]],
+                         ids=["table", "object"])
+@pytest.mark.parametrize("target", ["a directory", "a missing directory"])
+def test_unwritable_output_is_usage_error(argv, target, tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    path = str(tmp_path / "sub") if target == "a directory" else str(tmp_path / "no" / "x.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}: " in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub"]  # no .sjj-*.tmp left
+
+
 def test_valid_config_values_echo_as_given(tmp_path):
     # each value echoes as its flag's type, as the same run given as flags does
     cfg = tmp_path / "cfg.json"

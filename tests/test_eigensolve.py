@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjj import (
-    FockState,
     ModelKind,
     TridiagonalHamiltonian,
     build_hamiltonian,
@@ -17,7 +16,6 @@ from sjj import (
     energy_gap,
     ground,
     ground_state,
-    propagate,
 )
 from sjj import eigensolve
 from oracles import (
@@ -25,7 +23,6 @@ from oracles import (
     jacobi_eigh,
     mp_ground_log10_probs,
     mp_tridiagonal_level,
-    rk4_schrodinger,
 )
 
 SJJ, BJJ = ModelKind.SJJ, ModelKind.BJJ
@@ -235,38 +232,6 @@ def test_ground_state_n1_through_recurrence(kind, coupling, monkeypatch):
     (even_diag, even_off), _ = eigensolve._sectors(h)
     assert even_off.size == 0
     assert energy == even_diag[0]
-
-
-def test_propagate_zero_time(rng):
-    h = build_hamiltonian(BJJ, 12, 1.0)
-    amps = rng.normal(size=13) + 1j * rng.normal(size=13)
-    s0 = FockState(amps / np.linalg.norm(amps))
-    out = propagate(h, s0, 0.0)
-    assert np.allclose(out.amps, s0.amps, atol=1e-12)
-
-
-def test_propagate_eigenvector_global_phase():
-    h = build_hamiltonian(SJJ, 9, 1.7)
-    spec = eigen_decompose(h)
-    k = 3
-    s0 = FockState(spec.vectors[:, k].astype(complex))
-    tau = 0.83
-    out = propagate(h, s0, tau, spectrum=spec)
-    phase = np.exp(-1j * spec.energies[k] * tau)
-    assert np.allclose(out.amps, phase * s0.amps, atol=1e-12)
-    assert np.allclose(out.probabilities, s0.probabilities, atol=1e-12)
-
-
-def test_propagate_matches_rk4_oracle(rng):
-    h = build_hamiltonian(SJJ, 20, 2.0)
-    amps = rng.normal(size=21) + 1j * rng.normal(size=21)
-    amps /= np.linalg.norm(amps)
-    s0 = FockState(amps)
-    tau = 0.37
-    out = propagate(h, s0, tau)
-    ref = rk4_schrodinger(h.diag, h.offdiag, amps, tau, 1e-5)
-    assert np.max(np.abs(out.amps - ref)) <= 1e-6
-    assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-10
 
 
 def test_energy_gap_n2_closed_forms():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from sjj import coherent_fock_amplitudes, hz_criterion
 from sjj.logspace import log_factorial, logsumexp
 
 
@@ -42,6 +43,18 @@ def test_log_factorial_rejects_negative_n():
     for n in (-1, np.array([3, -2, 5])):
         with pytest.raises(ValueError, match="n >= 0"):
             log_factorial(n)
+
+
+def test_log_factorial_rejects_non_integer_dtypes():
+    # a bool array would index the table as a mask, a float one not at all
+    for n in (np.array([True, False]), 2.0):
+        with pytest.raises(ValueError, match="needs integers, got dtype"):
+            log_factorial(n)
+    # so does a count that reaches it through the library
+    with pytest.raises(ValueError, match="dtype float64"):
+        hz_criterion(coherent_fock_amplitudes(0.6, 0.8, 4), 1.5)
+    with pytest.raises(ValueError, match="dtype float64"):
+        coherent_fock_amplitudes(0.6, 0.8, 3.0)
 
 
 def test_logsumexp_edges():

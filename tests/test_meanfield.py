@@ -241,6 +241,15 @@ def test_trajectory_energies_are_energy_h():
     ]
 
 
+def test_integrate_takes_the_whole_steps_that_fit():
+    s0 = MeanFieldState(0.6, 0.0)
+    # half a step left over is not taken: the run ends inside [0, tau_max]
+    assert integrate(s0, 4.0, 0.0015, dtau=0.001).times[-1] == 0.001
+    # 0.3 / 0.1 is 2.9999999999999996 and still three steps
+    assert len(integrate(s0, 4.0, 0.3, dtau=0.1)) == 4
+    assert len(integrate(s0, 4.0, 10.0, dtau=1.0)) == 11
+
+
 def test_integrate_bounds_step_count(monkeypatch):
     monkeypatch.setattr(meanfield, "_MAX_STEPS", 10)
     assert len(integrate(MeanFieldState(0.6, 0.0), 4.0, 10.0, dtau=1.0)) == 11
