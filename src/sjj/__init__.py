@@ -32,14 +32,14 @@ _EXPORTS = {
                    "ground_state", "ground", "energy_gap"),
     "meanfield": ("MeanFieldState", "Trajectory", "SteadyState", "MeanFieldIntegrationError",
                   "rhs", "energy_h", "integrate", "steady_states", "overlap_integral",
-                  "kappa_eff", "lambda_eff", "wrap_phase"),
+                  "kappa_eff", "lambda_eff"),
     "hartree": ("HartreeSolution", "stationary_solutions", "exact_branch_energy", "cat_overlap",
                 "coherent_fock_amplitudes", "cat_state", "noon_state"),
     "observables": ("SpinExpectations", "PlanarSqueezing", "CJScanResult",
                     "UndefinedCriterionError", "spin_expectations", "mean_imbalance",
                     "hz_criterion", "hz1_from_spins", "planar_squeezing", "refine_minimum",
                     "cj_scan", "crossover_coupling"),
-    "losses": ("LossChannel", "ConditionalState", "ZeroProbabilityBranchError", "bs_coefficient",
+    "losses": ("LossChannel", "ConditionalState", "ZeroProbabilityBranchError",
                "conditional_state", "loss_mixture", "TracedRows", "traced_mixture",
                "three_body_decay", "one_body_decay", "gamma3"),
     "physical": ("TrapParams", "atomic_mass", "nonlinearity_u", "coupling_lambda",

@@ -132,7 +132,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     span = (stop - start) / step + 1e-9
     if not span < _MAX_GRID_POINTS:  # also catches an infinite or NaN span
         raise _UsageError(f"grid must have at most {_MAX_GRID_POINTS} points, got {spec!r}")
-    return start + step * np.arange(int(math.floor(span)) + 1)
+    grid = start + step * np.arange(int(math.floor(span)) + 1)
+    if np.any(np.diff(grid) <= 0):  # a step below the float spacing of its points
+        raise _UsageError(f"grid points must strictly increase, got {spec!r}")
+    return grid
 
 
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:

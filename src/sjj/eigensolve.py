@@ -92,10 +92,6 @@ class Spectrum:
     energies: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return len(self.energies)
-
 
 _FLAPACK = "scipy.linalg._flapack"
 

@@ -90,20 +90,6 @@ def _log_binom_weight(j, l, eta: float) -> np.ndarray:
     return np.where(l <= j, out, -np.inf)
 
 
-def bs_coefficient(n: int, l_a: int, l_b: int, n_total: int, ch: LossChannel) -> float:
-    """Probability weight B^n_{l_a,l_b} of losing (l_a, l_b) particles from
-    the basis state |N-n, n>.  Evaluated in log space; lies in [0, 1] and is
-    binomially complete: summed over all admissible (l_a, l_b) it is 1."""
-    if not 0 <= n <= n_total:
-        raise ValueError(f"need 0 <= n <= {n_total}, got n = {n}")
-    if not 0 <= l_a <= n_total - n:
-        raise ValueError(f"need 0 <= l_a <= {n_total - n}, got l_a = {l_a}")
-    if not 0 <= l_b <= n:
-        raise ValueError(f"need 0 <= l_b <= {n}, got l_b = {l_b}")
-    return float(np.exp(_log_binom_weight(n_total - n, l_a, ch.eta_a)
-                        + _log_binom_weight(n, l_b, ch.eta_b)))
-
-
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """Log-space factors of the traced rows
@@ -118,7 +104,7 @@ class _Kernel:
     gives bit-identical mirror rows."""
 
     amps: np.ndarray
-    log_p: np.ndarray  # log |A_n|^2, -inf where A_n = 0
+    log_p: np.ndarray  # FockState.log_probabilities
     log_ta: np.ndarray  # [l_a, n]
     log_tb: np.ndarray  # [l_b, n]
     mirror: bool  # eta_a = eta_b and |A_n| = |A_{N-n}|: P[l_a, l_b] = P[l_b, l_a]
@@ -152,8 +138,7 @@ def _kernel(s: FockState, ch: LossChannel, rows: int | None = None) -> _Kernel:
             f"n_total must be at most {math.isqrt(_MAX_TABLE) - 1} for the loss tables, got {s.n_total}"
         )
     n = np.arange(s.n_total + 1)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(s.probabilities)
+    log_p = s.log_probabilities
     return _Kernel(
         amps=s.amps,
         log_p=log_p,

@@ -68,12 +68,6 @@ class Trajectory:
     theta: np.ndarray
     energies: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state(self, i: int) -> MeanFieldState:
-        return MeanFieldState(z=float(self.z[i]), theta=float(self.theta[i]))
-
     @property
     def energy_drift(self) -> float:
         return float(np.max(np.abs(self.energies - self.energies[0])))
@@ -231,10 +225,3 @@ def lambda_eff(z: float, Lambda: float) -> float:
     if not (math.isfinite(Lambda) and Lambda >= 0):
         raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
     return Lambda / ((1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z))
-
-
-def wrap_phase(theta: float | np.ndarray) -> float | np.ndarray:
-    """Reduce a finite unwrapped phase to (-pi, pi]."""
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    return -((-np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi)

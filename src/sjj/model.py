@@ -127,6 +127,14 @@ class FockState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
+    @property
+    def log_probabilities(self) -> np.ndarray:
+        """log |A_n|^2, taken as 2 log |A_n| where |A_n|^2 underflows to 0:
+        -inf only where A_n = 0."""
+        probs = self.probabilities
+        with np.errstate(divide="ignore"):
+            return np.where(probs > 0, np.log(probs), 2.0 * np.log(np.abs(self.amps)))
+
 
 def _mirror_fill(low: np.ndarray, size: int) -> np.ndarray:
     """Assemble an array of ``size`` rows, mirror-symmetric along its first

@@ -114,8 +114,8 @@ def hz_criterion(s: FockState, m: int) -> float:
 
     evaluated by closed-form falling-factorial sums over the amplitudes.
     Only the ratios of the three moments are exponentiated, so the result is
-    finite for any 1 <= m <= N.  Where |A_n|^2 underflows to 0 but A_n does
-    not, log |A_n|^2 is taken as 2 log |A_n|; the result is undefined
+    finite for any 1 <= m <= N.  log |A_n|^2 is FockState.log_probabilities,
+    finite wherever A_n is nonzero; the result is undefined
     (UndefinedCriterionError) only when every A_n with n <= N - m is 0 in
     double precision.  At m = N only |N, 0> and |0, N> hold N particles in
     one mode, so the population moment is 0, |coh|^2/den = |A_N|^2 and
@@ -128,16 +128,13 @@ def hz_criterion(s: FockState, m: int) -> float:
     amps = s.amps
     if m == N and amps[0] != 0:
         return 1.0 - float(abs(amps[N]) ** 2)
-    probs = s.probabilities
     n = np.arange(N + 1)
 
     lff_a = _log_falling(N - n, m)  # a+^m a^m on |N-n>
     lff_b = _log_falling(n, m)      # b+^m b^m on |n>
     log_rise = log_factorial(n + m) - log_factorial(n)  # b^m b+^m on |n>
 
-    with np.errstate(divide="ignore"):
-        log_p = np.where(probs > 0, np.log(probs), 2.0 * np.log(np.abs(amps)))
-
+    log_p = s.log_probabilities
     log_pop = logsumexp(log_p + lff_a + lff_b)
 
     # <a^m b+^m>: couples A_{n+m} and A_n; amplitude moduli are <= 1 and are
@@ -197,9 +194,10 @@ def refine_minimum(
 
     Scans the given grid, then repeatedly subdivides a one-step bracket
     around the current argmin into 21 points until the local step drops
-    below refine_to, which must be >= 0, or until a level adds no new key;
-    refine_to = inf scans the grid only.  The grid must be finite and
-    >= 0, the coupling domain, which the refinement does not leave.
+    below refine_to, which must be >= 0, until a level adds no new key, or
+    until the bracket would be wider than the double range; refine_to = inf
+    scans the grid only.  The grid must be finite and >= 0, the coupling
+    domain, which the refinement does not leave.
     Each point x is keyed float("%.12g" % round(x, 12)), the coarser of 12
     decimals and the 12 digits the CLI prints; f gets each key once, in scan
     order, brackets centre on a key and the argmin is np.argmin's first
@@ -228,7 +226,10 @@ def refine_minimum(
     best_x, best_v = argmin(grid)
     step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     while step > refine_to:
-        sub = np.linspace(best_x - step, best_x + step, 21)
+        lo, hi = best_x - step, best_x + step
+        if not math.isfinite(hi - lo):  # the bracket would leave the double range
+            break
+        sub = np.linspace(lo, hi, 21)
         sub = sub[sub >= 0.0]
         known = len(values)
         x, v = argmin(sub)

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sjj import __version__, cli, eigensolve, ground_state, losses
@@ -393,6 +393,31 @@ def test_oversized_grid_is_usage_error(capsys):
         main(["spectrum", "--model", "sjj", "--n", "4", "--grid", "0:1:1e-9"])
     assert exc.value.code == 2
     assert f"at most {_MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "hz"])
+def test_grid_points_that_do_not_increase_are_usage_error(command, capsys):
+    # a step of 1 is below the float spacing 2 at 1e16: the points repeat,
+    # spectrum printed two coupling blocks twice and hz exited 3
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "sjj", "--n", "4", "--grid", "1e16:1.0000000000000004e16:1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "grid points must strictly increase" in err
+
+
+def test_hz_refinement_stays_in_the_double_range(tmp_path):
+    # the first bracket around either point is 2e308 wide: the refinement
+    # used to warn from numpy and then solve at coupling inf (exit 3)
+    done = subprocess.run(
+        [sys.executable, "-m", "sjj.cli", "hz", "--model", "bjj", "--n", "3",
+         "--grid", "0:1.5e308:1e308"],
+        capture_output=True, text=True, env=_child_env(), timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = done.stdout.splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e308]
 
 
 @pytest.mark.parametrize("args", [
@@ -1216,17 +1241,24 @@ def _assert_valid_output(path: Path) -> None:
         assert all(a < b for a, b in zip(couplings, couplings[1:])), couplings
 
 
+@st.composite
+def _command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(cli._SPEC)))
+    argv = [command]
+    for key, flag in cli._SPEC[command].flags.items():
+        if flag.required or draw(st.booleans()):
+            argv.append(draw(_flag_argument(key, flag)))
+    return argv
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_edge_inputs_give_a_documented_exit_code(data):
+@given(argv=_command_lines())
+# the refinement bracket around either point is 2e308 wide
+@example(argv=["hz", "--model=sjj", "--n=1", "--grid=0:1e308:1e308"])
+def test_edge_inputs_give_a_documented_exit_code(argv):
     # every command on N <= 12 and edge values, in process: exit 0, 2, 3 or
     # 4, never an exception out of main; a failed run leaves no -o file, a
     # run that succeeds writes a table that parses or JSON the schema admits
-    command = data.draw(st.sampled_from(sorted(cli._SPEC)))
-    argv = [command]
-    for key, flag in cli._SPEC[command].flags.items():
-        if flag.required or data.draw(st.booleans()):
-            argv.append(data.draw(_flag_argument(key, flag)))
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"

@@ -88,7 +88,7 @@ def test_sign_convention_and_determinism():
     b = eigen_decompose(h)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.vectors, b.vectors)
-    for k in range(a.dimension):
+    for k in range(41):
         col = a.vectors[:, k]
         first = col[np.abs(col) > 1e-12][0]
         assert first > 0.0
@@ -100,7 +100,7 @@ def test_parity_of_eigenvectors(kind, coupling):
     # eigenvector is symmetric or antisymmetric
     h = build_hamiltonian(kind, 120, coupling)
     spec = eigen_decompose(h)
-    for k in range(spec.dimension):
+    for k in range(121):
         v = spec.vectors[:, k]
         dev = min(np.max(np.abs(v - v[::-1])), np.max(np.abs(v + v[::-1])))
         assert dev <= 1e-8
@@ -323,7 +323,9 @@ def test_eigenvalues_sector_union_equals_full_chain(kind, n_total, coupling):
 def test_eigen_decompose_sector_columns(kind, n_total, coupling):
     h = _built(kind, n_total, coupling)
     spec = eigen_decompose(h)
-    for k in range(spec.dimension):
+    assert spec.energies.shape == (n_total + 1,)
+    assert spec.vectors.shape == (n_total + 1, n_total + 1)
+    for k in range(n_total + 1):
         v = spec.vectors[:, k]
         # bitwise even or odd, with the parity of level k alternating
         assert np.array_equal(v, (-1) ** k * v[::-1])
@@ -332,7 +334,7 @@ def test_eigen_decompose_sector_columns(kind, n_total, coupling):
     resid = dense @ spec.vectors - spec.vectors * spec.energies
     assert np.all(np.max(np.abs(resid), axis=0) <= 1e-10 * scale)
     gram = spec.vectors.T @ spec.vectors
-    assert np.max(np.abs(gram - np.eye(spec.dimension))) <= 1e-12
+    assert np.max(np.abs(gram - np.eye(n_total + 1))) <= 1e-12
     assert np.all(np.abs(spec.energies - eigenvalues(h)) <= 1e-13 * scale)
 
 

@@ -11,7 +11,6 @@ from sjj import (
     LossChannel,
     ModelKind,
     ZeroProbabilityBranchError,
-    bs_coefficient,
     build_hamiltonian,
     cat_state,
     conditional_state,
@@ -47,39 +46,6 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         LossChannel(0.5, 1.2)
     LossChannel(1.0, 1.0)
-
-
-def test_bs_coefficient_unit_transmission():
-    ch = LossChannel(1.0, 1.0)
-    assert bs_coefficient(3, 0, 0, 10, ch) == 1.0
-    assert bs_coefficient(3, 2, 0, 10, ch) == 0.0
-
-
-def test_bs_coefficient_hand_value():
-    assert abs(bs_coefficient(1, 1, 0, 2, LossChannel(0.5, 1.0)) - 0.5) <= 1e-15
-
-
-@pytest.mark.parametrize("eta", [(0.9, 0.7), (0.999, 0.999), (1.0, 0.3)])
-def test_bs_coefficient_completeness(eta):
-    ch = LossChannel(*eta)
-    n_total = 7
-    for n in range(n_total + 1):
-        total = math.fsum(
-            bs_coefficient(n, la, lb, n_total, ch)
-            for la in range(n_total - n + 1)
-            for lb in range(n + 1)
-        )
-        assert abs(total - 1.0) <= 1e-12
-
-
-def test_bs_coefficient_range_checks():
-    ch = LossChannel(0.9, 0.9)
-    with pytest.raises(ValueError):
-        bs_coefficient(3, 8, 0, 10, ch)
-    with pytest.raises(ValueError):
-        bs_coefficient(3, 0, 4, 10, ch)
-    with pytest.raises(ValueError):
-        bs_coefficient(11, 0, 0, 10, ch)
 
 
 def test_conditional_no_loss_identity(rng):
@@ -136,6 +102,15 @@ def test_mixture_unit_transmission():
     assert len(mix) == 1
     assert mix[0].l_a == mix[0].l_b == 0
     assert abs(mix[0].probability - 1.0) <= 1e-12
+
+
+def test_mixture_hand_value():
+    # |1, 1> at eta = (0.5, 1): mode a loses its atom with probability 1/2,
+    # and mode b, at unit transmission, never loses one
+    mix = loss_mixture(FockState(np.array([0.0, 1.0, 0.0])), LossChannel(0.5, 1.0))
+    assert [(b.l_a, b.l_b) for b in mix] == [(0, 0), (1, 0)]
+    assert all(abs(b.probability - 0.5) <= 1e-15 for b in mix)
+    assert np.array_equal(mix[1].state.amps, [0.0, 1.0])
 
 
 def test_mixture_completeness_random(rng):
@@ -516,6 +491,16 @@ def lobe_ratio(s: FockState) -> float:
 GROUND_AFTER_LOSS = {2.001: (2.187e-5, 0.6795, 3.29e-4),
                      2.1: (1.727e-5, 0.6538, 2.60e-4),
                      4.0: (2.538e-6, 0.5313, 3.81e-5)}
+
+
+def test_kernel_reads_the_state_log_probabilities():
+    # 22 |A_n|^2 of this ground state underflow to 0: the kernel took their
+    # log as -inf, and the witness as 2 log|A_n|
+    s = ground(ModelKind.SJJ, 800, 0.5)[1]
+    assert np.count_nonzero(s.probabilities == 0.0) == 22
+    k = losses._kernel(s, LossChannel(0.9, 0.9), rows=1)
+    assert np.array_equal(k.log_p, s.log_probabilities)
+    assert np.all(np.isfinite(k.log_p))
 
 
 def test_ground_state_keeps_an_entangled_two_lobe_state_after_losses():

@@ -183,6 +183,13 @@ def test_hamiltonian_arrays_cannot_be_changed_after_the_finite_check():
     assert np.all(np.isfinite(eigenvalues(h)))
 
 
+def test_fock_state_log_probabilities_past_underflow():
+    # |1e-170|^2 underflows to 0, so its log is taken as 2 log|A_n|
+    s = FockState(np.array([1.0, 1e-170, 0.0]))
+    assert s.probabilities[1] == 0.0
+    assert list(s.log_probabilities) == [0.0, 2.0 * math.log(1e-170), -math.inf]
+
+
 def test_fock_state_leaves_the_callers_array_writeable():
     amps = np.array([1, 0, 0], dtype=complex)
     state = FockState(amps)

@@ -287,6 +287,12 @@ def test_refine_minimum_rejects_non_finite_grid(grid):
     assert calls == []
 
 
+def test_refine_minimum_stays_in_the_double_range():
+    # a bracket 2e308 wide overflowed np.linspace, and f was called at inf;
+    # the keys are every point f was called at
+    assert refine_minimum(lambda x: -x, [0.0, 1e308]) == (1e308, -1e308, [0.0, 1e308])
+
+
 def test_refine_minimum_stops_at_the_key_resolution(monkeypatch):
     # once the step falls below the key resolution a level adds no key, and
     # the refinement stops there instead of running down through the subnormals
