@@ -20,7 +20,8 @@ X^2 and S^2 share one width w = 2.42 - 1.58 (:func:`_branch_squares`); the
 coherent and cat states are built in log space from one binomial expansion.
 
 The branches and the overlap are closed-form scalars and need no numpy; the
-three functions that build Fock states import it when called.
+three functions that build Fock states import it when called, and take
+1 <= N <= 10^6 as the models do.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _mean_field_energy
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _check_coupling, _mean_field_energy
 
 if TYPE_CHECKING:
     from .model import FockState
@@ -71,8 +72,7 @@ def _branch_squares(Lambda: float) -> tuple[float, float]:
 
 def stationary_solutions(Lambda: float) -> list[HartreeSolution]:
     """All variational stationary branches at the given coupling."""
-    if not (math.isfinite(Lambda) and Lambda >= 0):
-        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     r = 1.0 / math.sqrt(2.0)
     out = [HartreeSolution(s=0.0, alpha=r, beta=r, theta=0.0, energy=-1.0, branch="S0")]
     if _LAMBDA_LO <= Lambda < _LAMBDA_HI:
@@ -122,9 +122,9 @@ def _log_binomial_amplitudes(alpha: float, beta: float, n_total: int):
     import numpy as np
 
     from .logspace import log_factorial
+    from .model import _check_n
 
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
+    _check_n(n_total)
     n = np.arange(n_total + 1)
     log_mag = 0.5 * (log_factorial(n_total) - log_factorial(n) - log_factorial(n_total - n))
     for power, base in ((n_total - n, alpha), (n, beta)):
@@ -181,10 +181,9 @@ def noon_state(n_total: int, phase: float = 0.0) -> FockState:
     """Balanced N00N state (|N,0> + e^{i phase} |0,N>)/sqrt(2)."""
     import numpy as np
 
-    from .model import FockState
+    from .model import FockState, _check_n
 
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
+    _check_n(n_total)
     if not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
     amps = np.zeros(n_total + 1, dtype=complex)

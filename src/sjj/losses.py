@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .logspace import log_factorial
-from .model import FockState
+from .model import FockState, _check_min
 
 __all__ = list(_EXPORTS["losses"])
 
@@ -73,10 +73,6 @@ class ConditionalState:
     l_b: int
     probability: float
     state: FockState
-
-    @property
-    def n_remaining(self) -> int:
-        return self.state.n_total
 
 
 def _log_binom_weight(j, l, eta: float) -> np.ndarray:
@@ -217,11 +213,6 @@ def conditional_state(s: FockState, l_a: int, l_b: int, ch: LossChannel) -> Cond
     k = _kernel(s, ch, max(l_a, l_b) + 1)
     prob, _ = _scan(k, math.inf)
     return _branch(k, l_a, l_b, float(prob[l_a, l_b]))
-
-
-def _check_min(name: str, value: float) -> None:
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def loss_mixture(s: FockState, ch: LossChannel, p_min: float = 0.0) -> list[ConditionalState]:

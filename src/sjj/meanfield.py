@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .hartree import _branch_squares
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _mean_field_energy
+from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _check_coupling, _mean_field_energy
 
 __all__ = list(_EXPORTS["meanfield"])
 
@@ -82,15 +82,13 @@ class SteadyState:
 
 def rhs(s: MeanFieldState, Lambda: float) -> tuple[float, float]:
     """(dz/dtau, dtheta/dtau) at the given state."""
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     return _rhs_raw(s.z, s.theta, Lambda)
 
 
 def energy_h(s: MeanFieldState, Lambda: float) -> float:
     """Conserved energy h(z, theta) in units kappa*N (constant terms dropped)."""
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     return _mean_field_energy(s.z * s.z, math.cos(s.theta), Lambda)
 
 
@@ -113,12 +111,11 @@ def integrate(
     The step is fixed (no adaptive control) so trajectories are reproducible;
     energy drift stays below 1e-8 for tau_max <= 100 at dtau <= 1e-3.  theta
     is reported unwrapped.  If |z| exceeds 1 by more than 1e-9 the run aborts
-    instead of clamping silently; a non-finite Lambda, tau_max or dtau, and
-    more than _MAX_STEPS = 2e7 steps, are rejected before anything is
-    allocated.
+    instead of clamping silently; a Lambda that is not finite and >= 0, a
+    non-finite tau_max or dtau, and more than _MAX_STEPS = 2e7 steps, are
+    rejected before anything is allocated.
     """
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     if not (math.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be finite and > 0, got {dtau}")
     if not (math.isfinite(tau_max) and tau_max >= 0):
@@ -167,8 +164,7 @@ def steady_states(Lambda: float) -> list[SteadyState]:
     S+- branch, exists for 1.58 < Lambda <= 2.42; the fully imbalanced pair
     z = +-1 with cos(theta) = Lambda/1.58 exists for 0 < Lambda <= 1.58.
     """
-    if not (math.isfinite(Lambda) and Lambda >= 0):
-        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     out = [SteadyState(z=0.0, theta=0.0, branch="symmetric")]
     if _LAMBDA_LO < Lambda <= _LAMBDA_HI:
         z = math.sqrt(_branch_squares(Lambda)[1])
@@ -222,6 +218,5 @@ def lambda_eff(z: float, Lambda: float) -> float:
     """
     if not abs(z) < 1.0:
         raise ValueError(f"|z| must be < 1, got {z}")
-    if not (math.isfinite(Lambda) and Lambda >= 0):
-        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
+    _check_coupling(Lambda, "Lambda")
     return Lambda / ((1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z))

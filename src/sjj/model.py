@@ -31,14 +31,13 @@ chain into its even and odd blocks.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
-from .overlap_fit import _OVERLAP_FIT
+from .overlap_fit import _OVERLAP_FIT, _check_coupling
 
 __all__ = list(_EXPORTS["model"])
 
@@ -46,6 +45,21 @@ __all__ = list(_EXPORTS["model"])
 # largest particle number of a model: about 330 times the README's largest N
 # (3000); an SJJ ground solve there takes ~3 s and ~180 MB
 _MAX_N = 1_000_000
+
+
+def _check_n(n_total: int) -> None:
+    """Raise ValueError unless 1 <= N <= _MAX_N: every Fock-space builder
+    checks N here before it allocates N + 1 amplitudes."""
+    if n_total < 1:
+        raise ValueError(f"n_total must be >= 1, got {n_total}")
+    if n_total > _MAX_N:
+        raise ValueError(f"n_total must be at most {_MAX_N}, got {n_total}")
+
+
+def _check_min(name: str, value: float) -> None:
+    """Raise ValueError unless value >= 0 (a NaN fails too)."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class ModelKind(enum.Enum):
@@ -158,18 +172,8 @@ def build_hamiltonian(kind: ModelKind, n_total: int, coupling: float) -> Tridiag
     """
     if not isinstance(kind, ModelKind):
         raise ValueError(f"kind must be a ModelKind, got {kind!r}")
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
-    if n_total > _MAX_N:
-        raise ValueError(f"n_total must be at most {_MAX_N}, got {n_total}")
-    try:
-        finite = math.isfinite(coupling)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"coupling must be finite, got {coupling}")
-    if coupling < 0:
-        raise ValueError(f"coupling must be >= 0, got {coupling}")
+    _check_n(n_total)
+    _check_coupling(coupling, "coupling")
     if kind is ModelKind.SJJ and coupling == 0:
         warnings.warn("SJJ with coupling 0 is a formal limit: bright solitons "
                       "require nonzero nonlinearity", stacklevel=2)

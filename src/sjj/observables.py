@@ -31,7 +31,7 @@ import numpy as np
 from . import _EXPORTS
 from .eigensolve import _bisect, ground
 from .logspace import log_factorial, logsumexp
-from .model import FockState, ModelKind
+from .model import FockState, ModelKind, _check_min
 
 __all__ = list(_EXPORTS["observables"])
 
@@ -43,7 +43,7 @@ class UndefinedCriterionError(ValueError):
 
 @dataclass(frozen=True)
 class SpinExpectations:
-    """First and second spin moments; j_total = N/2."""
+    """First and second spin moments."""
 
     jx: float
     jy: float
@@ -51,7 +51,6 @@ class SpinExpectations:
     var_jx: float
     var_jy: float
     var_jz: float
-    j_total: float
 
 
 class PlanarSqueezing(NamedTuple):
@@ -89,9 +88,7 @@ def spin_expectations(s: FockState) -> SpinExpectations:
     vx = max(0.0, float(np.real(np.vdot(jx_amps, jx_amps))) - ex * ex)
     vy = max(0.0, float(np.real(np.vdot(jy_amps, jy_amps))) - ey * ey)
     vz = max(0.0, float(np.real(np.vdot(jz_amps, jz_amps))) - ez * ez)
-    return SpinExpectations(
-        jx=ex, jy=ey, jz=ez, var_jx=vx, var_jy=vy, var_jz=vz, j_total=N / 2.0
-    )
+    return SpinExpectations(jx=ex, jy=ey, jz=ez, var_jx=vx, var_jy=vy, var_jz=vz)
 
 
 def mean_imbalance(s: FockState) -> float:
@@ -172,8 +169,7 @@ def hz1_from_spins(s: FockState) -> float:
     """
     if s.n_total == 0:
         raise ValueError("hz1_from_spins is undefined at N = 0")
-    e = spin_expectations(s)
-    return (e.var_jx + e.var_jy) / e.j_total
+    return planar_squeezing(s).delta_parallel / (s.n_total / 2.0)
 
 
 def planar_squeezing(s: FockState) -> PlanarSqueezing:
@@ -204,8 +200,7 @@ def refine_minimum(
     (NaN included).  Returns (x_min, f_min, the keys in call order).  The
     soliton model's witness minimum sits in an extremely narrow window.
     """
-    if not refine_to >= 0.0:
-        raise ValueError(f"refine_to must be >= 0, got {refine_to}")
+    _check_min("refine_to", refine_to)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -281,8 +276,7 @@ def crossover_coupling(
     """
     if n_total < 4:
         raise ValueError(f"n_total must be >= 4, got {n_total}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_min("tol", tol)
     if criterion not in _CROSSOVER_PREDICATES:
         raise ValueError(f"criterion must be one of {_CROSSOVER_PREDICATES}, got {criterion!r}")
 

@@ -313,6 +313,15 @@ def test_spectrum_domain_error_prints_nothing(capsys):
     assert err.startswith("sjj spectrum: ")
 
 
+@pytest.mark.parametrize("command", ["meanfield", "hartree"])
+def test_negative_coupling_is_domain_error(command, capsys):
+    # meanfield used to print a trajectory at Lambda = -1 where hartree exited 3
+    assert main([command, "--coupling", "-1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"sjj {command}: Lambda must be finite and >= 0, got -1.0"]
+
+
 def test_losses_zero_probability_exit3(tmp_path, capsys):
     # the empty results: a single branch of probability 0 exits 3 ...
     out = tmp_path / "z.csv"

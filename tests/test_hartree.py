@@ -18,6 +18,7 @@ from sjj import (
     stationary_solutions,
     steady_states,
 )
+from sjj.model import _MAX_N
 from sjj.overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _mean_field_energy
 from oracles import mp_cat_amplitudes
 
@@ -181,6 +182,17 @@ def test_cat_overlap_rejects_n_beyond_float():
     # 10**400 used to end in OverflowError when N met a float
     with pytest.raises(ValueError, match="n_total must be at most"):
         cat_overlap(2.0, 10**400)
+
+
+@pytest.mark.parametrize("build", [
+    noon_state,
+    lambda n: coherent_fock_amplitudes(R2, R2, n),
+    lambda n: cat_state(2.0, n),
+], ids=["noon", "coherent", "cat"])
+def test_state_builders_cap_n_as_the_models_do(build):
+    # each allocates N + 1 amplitudes; it used to take any N >= 1
+    with pytest.raises(ValueError, match=f"n_total must be at most {_MAX_N}, got {_MAX_N + 1}"):
+        build(_MAX_N + 1)
 
 
 @pytest.mark.parametrize("fields, message", [

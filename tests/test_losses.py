@@ -59,7 +59,7 @@ def test_conditional_single_loss_collapses_noon():
     # one detected loss in channel a picks out the all-in-a component
     out = conditional_state(noon_state(60), 1, 0, LossChannel(0.999, 0.999))
     p = out.state.probabilities
-    assert out.n_remaining == 59
+    assert out.state.n_total == 59
     assert abs(p[0] - 1.0) <= 1e-12
     assert np.all(p[1:] == 0.0)
 
@@ -133,7 +133,7 @@ def test_mixture_sorted_and_truncated(rng):
 def test_mixture_particle_bookkeeping(rng):
     s = FockState(random_state(rng, 9))
     for b in loss_mixture(s, LossChannel(0.8, 0.85)):
-        assert b.n_remaining == 9 - b.l_a - b.l_b
+        assert b.state.n_total == 9 - b.l_a - b.l_b
 
 
 def test_mixture_symmetric_branches(rng):
@@ -515,8 +515,8 @@ def test_ground_state_keeps_an_entangled_two_lobe_state_after_losses():
 
     def after(s, l_a, l_b):
         b = conditional_state(s, l_a, l_b, ch)
-        hz = hz_criterion(b.state, b.n_remaining)
-        assert abs(hz - mp_hz(b.state.amps, b.n_remaining)) <= 5e-13
+        hz = hz_criterion(b.state, b.state.n_total)
+        assert abs(hz - mp_hz(b.state.amps, b.state.n_total)) <= 5e-13
         want = mp_branch_probability(s.amps, l_a, l_b, 0.999, 0.999)
         assert abs(b.probability - want) <= 1e-12 * want
         return b.probability, lobe_ratio(b.state), hz

@@ -5,12 +5,21 @@ import pytest
 
 from sjj import (
     FockState,
+    MeanFieldState,
     ModelKind,
     TridiagonalHamiltonian,
     apply_hamiltonian,
     build_hamiltonian,
+    cat_state,
     eigenvalues,
     energy_gap,
+    energy_h,
+    ground,
+    integrate,
+    lambda_eff,
+    rhs,
+    stationary_solutions,
+    steady_states,
 )
 from sjj import model
 
@@ -150,6 +159,31 @@ def test_params_int_coupling_beyond_float_range(coupling):
     # error is the ValueError
     with pytest.raises(ValueError, match="coupling must be finite"):
         build_hamiltonian(SJJ, 10, coupling)
+
+
+_S = MeanFieldState(0.3, 0.4)
+COUPLING_TAKERS = {
+    "build_hamiltonian": lambda c: build_hamiltonian(BJJ, 10, c),
+    "ground": lambda c: ground(SJJ, 10, c),
+    "stationary_solutions": stationary_solutions,
+    "cat_state": lambda c: cat_state(c, 10),
+    "steady_states": steady_states,
+    "lambda_eff": lambda c: lambda_eff(0.5, c),
+    "rhs": lambda c: rhs(_S, c),
+    "energy_h": lambda c: energy_h(_S, c),
+    "integrate": lambda c: integrate(_S, c, 1.0),
+}
+
+
+@pytest.mark.parametrize("coupling", [-1.0, math.nan, math.inf, 10**400],
+                         ids=["-1", "nan", "inf", "10^400"])
+@pytest.mark.parametrize("call", COUPLING_TAKERS.values(), ids=COUPLING_TAKERS.keys())
+def test_every_coupling_taker_checks_one_domain(call, coupling):
+    # both junctions are attractive, so Lambda, lambda >= 0; the mean-field
+    # flow used to take Lambda < 0, and all but build_hamiltonian raised
+    # OverflowError on an int past the float range
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        call(coupling)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
