@@ -39,17 +39,22 @@ selects whole branches by their probability.  JSON payload keys are
 documented in schemas/cli_output.schema.json.
 
 Tables are formatted and written _CHUNK_ROWS rows at a time, to stdout or
-to a temp file beside the -o target that is renamed onto it at the end, so
-the writer's memory does not grow with the row count and a failed run,
-also one that fails mid-table, leaves no partial file.  The bytes are those
-of the whole document rendered at once.  spectrum hands its rows over one
-grid point at a time, so it holds one grid point's N+1 levels at once; hz,
-meanfield and losses still build their whole table before writing it,
-bounded by _MAX_GRID_POINTS, meanfield's _MAX_STEPS and losses' _MAX_TABLE.
-The first grid point is solved before the header is written, so an error
-there leaves the output empty; on stdout, a numerical failure at a later
-grid point leaves the rows already printed (exit 4), while -o still leaves
-no file.
+to a temp file beside the -o target, so the writer's memory does not grow
+with the row count.  Once the temp file is complete, an existing target is
+removed and the temp file renamed into place: a failed run, also one that
+fails mid-table, leaves no partial file and an existing target untouched.
+The target briefly does not exist between the removal and the rename, so
+the switch is not atomic; a rename onto an existing file would be, but on
+ext4 it waits for the new data to be flushed (auto_da_alloc), 50-100 ms
+per file.  Nothing calls fsync, so no write is crash-durable.  The bytes are
+those of the whole document rendered at once.  spectrum hands its rows
+over one grid point at a time, so it holds one grid point's N+1 levels at
+once; hz, meanfield and losses still build their whole table before
+writing it, bounded by _MAX_GRID_POINTS, meanfield's _MAX_STEPS and losses'
+_MAX_TABLE.  The first grid point is solved before the header is written,
+so an error there leaves the output empty; on stdout, a numerical failure
+at a later grid point leaves the rows already printed (exit 4), while -o
+still leaves no file.
 
 The module imports the standard library only; each command imports the
 sjj modules it calls, and numpy with them, when it runs.  So --version,
@@ -139,10 +144,16 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
-    """Write the chunks in order to stdout, or atomically to `path` (a temp
-    file in its directory, renamed at the end) so that a failure, also one
-    raised while the chunks are produced, leaves no partial file.  A path
-    that cannot be written is a usage error.
+    """Write the chunks in order to stdout, or to `path` through a temp file
+    in its directory.  Only once the temp file is complete is an existing
+    `path` removed and the temp file renamed into place, so a failure, also
+    one raised while the chunks are produced, leaves no partial file and an
+    existing `path` untouched.  Between the removal and the rename `path`
+    does not exist: the switch is not atomic.  The rename never replaces a
+    file, because ext4 (auto_da_alloc) flushes the new data before a rename
+    onto an existing file returns, 50-100 ms per file.
+    Nothing calls fsync, so the file is not crash-durable on any file
+    system.  A path that cannot be written is a usage error.
 
     An unbuffered stdout (PYTHONUNBUFFERED, python -u) is a write-through
     text layer over the raw file, which drops what a short write leaves,
@@ -166,7 +177,11 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sjj-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        try:  # a rename onto an existing file makes ext4 flush the new data first
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _check_coupling, _mean_field_energy
+from .overlap_fit import (_LAMBDA_HI, _LAMBDA_LO, _check_coupling, _finite, _mean_field_energy,
+                          _shown)
 
 if TYPE_CHECKING:
     from .model import FockState
@@ -184,8 +185,8 @@ def noon_state(n_total: int, phase: float = 0.0) -> FockState:
     from .model import FockState, _check_n
 
     _check_n(n_total)
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase}")
+    if not _finite(phase):
+        raise ValueError(f"phase must be finite, got {_shown(phase)}")
     amps = np.zeros(n_total + 1, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2.0)
     amps[-1] = np.exp(1j * phase) / math.sqrt(2.0)

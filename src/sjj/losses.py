@@ -42,6 +42,7 @@ import numpy as np
 from . import _EXPORTS
 from .logspace import log_factorial
 from .model import FockState, _check_min
+from .overlap_fit import _finite
 
 __all__ = list(_EXPORTS["losses"])
 
@@ -267,20 +268,20 @@ def three_body_decay(n0: float, l3: float, rho: float, t: float) -> float:
 
     l3 in cm^6/s, rho in cm^-3, t in s.
     """
-    if not all(0 <= x < math.inf for x in (n0, l3, rho, t)):
+    if not all(_finite(x) and x >= 0 for x in (n0, l3, rho, t)):
         raise ValueError("all inputs must be >= 0 and finite")
     return n0 / math.sqrt(1.0 + gamma3(l3, rho) * t)
 
 
 def gamma3(l3: float, rho: float) -> float:
     """Effective three-body loss rate gamma_3 = 2 L3 rho^2 (1/s)."""
-    if not (0 <= l3 < math.inf and 0 <= rho < math.inf):
+    if not (_finite(l3) and l3 >= 0 and _finite(rho) and rho >= 0):
         raise ValueError("l3 and rho must be >= 0 and finite")
     return 2.0 * l3 * rho * rho
 
 
 def one_body_decay(n0: float, gamma1: float, t: float) -> float:
     """Atom number under one-body losses, N(0) exp(-gamma_1 t)."""
-    if not all(0 <= x < math.inf for x in (n0, gamma1, t)):
+    if not all(_finite(x) and x >= 0 for x in (n0, gamma1, t)):
         raise ValueError("all inputs must be >= 0 and finite")
     return n0 * math.exp(-gamma1 * t)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .hartree import _branch_squares
-from .overlap_fit import _LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _check_coupling, _mean_field_energy
+from .overlap_fit import (_LAMBDA_HI, _LAMBDA_LO, _OVERLAP_FIT, _check_coupling, _finite,
+                          _mean_field_energy, _shown)
 
 __all__ = list(_EXPORTS["meanfield"])
 
@@ -54,8 +55,8 @@ class MeanFieldState:
     def __post_init__(self):
         if not abs(self.z) <= 1.0:
             raise ValueError(f"|z| must be <= 1, got {self.z}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not _finite(self.theta):
+            raise ValueError(f"theta must be finite, got {_shown(self.theta)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +117,10 @@ def integrate(
     rejected before anything is allocated.
     """
     _check_coupling(Lambda, "Lambda")
-    if not (math.isfinite(dtau) and dtau > 0):
-        raise ValueError(f"dtau must be finite and > 0, got {dtau}")
-    if not (math.isfinite(tau_max) and tau_max >= 0):
-        raise ValueError(f"tau_max must be finite and >= 0, got {tau_max}")
+    if not (_finite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and > 0, got {_shown(dtau)}")
+    if not (_finite(tau_max) and tau_max >= 0):
+        raise ValueError(f"tau_max must be finite and >= 0, got {_shown(tau_max)}")
     ratio = tau_max / dtau
     if ratio > _MAX_STEPS:  # also a ratio that overflowed to inf
         raise ValueError(f"tau_max / dtau must be at most {_MAX_STEPS} steps, got {ratio:g}")
@@ -205,8 +206,8 @@ def kappa_eff(z: float, kappa: float) -> float:
     """
     if not abs(z) <= 1.0:
         raise ValueError(f"|z| must be <= 1, got {z}")
-    if not 0 < kappa < math.inf:
-        raise ValueError(f"kappa must be > 0 and finite, got {kappa}")
+    if not (_finite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be > 0 and finite, got {_shown(kappa)}")
     return kappa * (1.0 - _OVERLAP_FIT * z * z) * math.sqrt(1.0 - z * z)
 
 

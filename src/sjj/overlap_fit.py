@@ -6,9 +6,10 @@ the mean-field flow and the Hartree branches all take 0.21 from here, and
 the self-trapping window 1.58 <= Lambda <= 2.42 of the mean-field steady
 states and of the Hartree imbalanced branches is derived from it, bit for
 bit.  The mean-field energy h(z, theta) built on it is written once here,
-and so is the domain check of the coupling that every model takes.  The
-module imports only math, so the closed-form commands can read it without
-loading numpy.
+and so is the domain check of the coupling that every model takes, with
+the finiteness test that every scalar input check shares.  The module
+imports only math, so the closed-form commands can read it without loading
+numpy.
 """
 
 import math
@@ -27,12 +28,24 @@ def _mean_field_energy(z2, cos_theta, Lambda):
     return -(Lambda / 2.0) * z2 - (1.0 - z2) * (1.0 - _OVERLAP_FIT * z2) * cos_theta
 
 
+def _finite(value: float) -> bool:
+    """math.isfinite, where an int beyond the float range is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value: float) -> object:
+    """The value for an error message: an int beyond the float range is named,
+    not printed, since str() refuses an int of more than 4,300 digits."""
+    if isinstance(value, int) and not _finite(value):
+        return "an int beyond the float range"
+    return value
+
+
 def _check_coupling(value: float, name: str) -> None:
     """Raise ValueError unless the coupling is finite and >= 0, an int past
     the float range included: an attractive junction has Lambda, lambda >= 0."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not (finite and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if not (_finite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {_shown(value)}")

@@ -27,6 +27,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import _EXPORTS
+from .overlap_fit import _finite, _shown
 
 # module data has no __module__, so the package table lists functions and classes only
 __all__ = list(_EXPORTS["physical"]) + ["HBAR", "ATOMIC_MASS_KG", "SPECIES_MASS_U"]
@@ -77,10 +78,12 @@ class TrapParams:
     a_perp: float | None = None
 
     def __post_init__(self):
+        if self.n_atoms > sys.float_info.max:  # the conversions take N as a float
+            raise ValueError(f"n_atoms must be at most {sys.float_info.max:g}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not isinstance(value, int) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if value is not None and not _finite(value):
+                raise ValueError(f"{f.name} must be finite, got {_shown(value)}")
         if self.omega_perp <= 0:
             raise ValueError(f"omega_perp must be > 0, got {self.omega_perp}")
         if self.omega_x < 0:
@@ -89,8 +92,6 @@ class TrapParams:
             raise ValueError(f"tunnel_rate must be >= 0, got {self.tunnel_rate}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.n_atoms > sys.float_info.max:  # the conversions take N as a float
-            raise ValueError(f"n_atoms must be at most {sys.float_info.max:g}")
         if self.mass <= 0:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.a_perp is not None and self.a_perp <= 0:

@@ -1047,6 +1047,53 @@ def test_failure_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(tmp_path.glob(".sjj-*.tmp")) == []
 
 
+def test_failure_over_an_existing_target_leaves_it_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old bytes\n")
+    argv = ["meanfield", "--coupling", "2", "--z0", "0.3", "--tau-max", "10", "-o", str(out)]
+    streamed = cli._chunks
+
+    def failing(*args):
+        chunks = streamed(*args)
+        yield next(chunks)
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(cli, "_chunks", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        main(argv)
+    assert out.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob(".sjj-*.tmp")) == []
+    monkeypatch.setattr(cli, "_chunks", streamed)
+    assert main(argv) == 0  # a successful rerun writes its own bytes over the old file
+    fresh = tmp_path / "fresh.csv"
+    assert main(argv[:-1] + [str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes() != b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
+
+
+@pytest.mark.parametrize("argv", [["hartree", "--coupling", "2", "--n", "10"],
+                                  ["ground", "--model", "sjj", "--n", "10", "--coupling", "2"]],
+                         ids=["object", "table"])
+def test_output_is_never_renamed_onto_an_existing_file(argv, tmp_path, monkeypatch):
+    # on ext4 a rename onto an existing file waits until the new data is
+    # flushed, ~60 ms per file; so the old target is removed first
+    out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    destinations = []
+
+    def spy(real):
+        def call(src, dst, *args, **kwargs):
+            destinations.append((dst, os.path.lexists(dst)))
+            return real(src, dst, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli.os, "rename", spy(os.rename))
+    monkeypatch.setattr(cli.os, "replace", spy(os.replace))
+    assert main(argv + ["-o", str(out)]) == 0
+    assert destinations == [(str(out), False)]
+    assert out.read_text() != "old\n"
+
+
 def test_table_memory_does_not_grow_with_rows(tmp_path):
     rng = np.random.default_rng(0)
     columns = [np.arange(100_000)] + [rng.normal(size=100_000) for _ in range(4)]

@@ -7,6 +7,7 @@ from sjj import (
     FockState,
     MeanFieldState,
     ModelKind,
+    TrapParams,
     TridiagonalHamiltonian,
     apply_hamiltonian,
     build_hamiltonian,
@@ -14,12 +15,17 @@ from sjj import (
     eigenvalues,
     energy_gap,
     energy_h,
+    gamma3,
     ground,
     integrate,
+    kappa_eff,
     lambda_eff,
+    noon_state,
+    one_body_decay,
     rhs,
     stationary_solutions,
     steady_states,
+    three_body_decay,
 )
 from sjj import model
 
@@ -184,6 +190,36 @@ def test_every_coupling_taker_checks_one_domain(call, coupling):
     # OverflowError on an int past the float range
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         call(coupling)
+
+
+def test_coupling_message_names_an_int_too_long_to_print():
+    # str() refuses an int of more than 4,300 digits, so the message names it
+    with pytest.raises(ValueError, match="^Lambda must be finite and >= 0, got an int beyond"):
+        stationary_solutions(10**5000)
+
+
+_TRAP = dict(a_sc=1e-9, omega_x=1.0, omega_perp=10.0, tunnel_rate=1.0, n_atoms=5, mass=1e-26)
+REAL_INPUT_TAKERS = {
+    "MeanFieldState.theta": (lambda v: MeanFieldState(0.1, v), "theta must be finite"),
+    "integrate.tau_max": (lambda v: integrate(_S, 1.0, v), "tau_max must be finite and >= 0"),
+    "integrate.dtau": (lambda v: integrate(_S, 1.0, 1.0, v), "dtau must be finite and > 0"),
+    "noon_state.phase": (lambda v: noon_state(4, phase=v), "phase must be finite"),
+    "kappa_eff": (lambda v: kappa_eff(0.1, v), "kappa must be > 0 and finite"),
+    "one_body_decay": (lambda v: one_body_decay(v, 1, 1), "all inputs must be >= 0 and finite"),
+    "three_body_decay": (lambda v: three_body_decay(v, 1, 1, 1),
+                         "all inputs must be >= 0 and finite"),
+    "gamma3": (lambda v: gamma3(1, v), "l3 and rho must be >= 0 and finite"),
+    "TrapParams.tunnel_rate": (lambda v: TrapParams(**{**_TRAP, "tunnel_rate": v}),
+                               "tunnel_rate must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["10^400", "10^5000"])
+@pytest.mark.parametrize("call, message", REAL_INPUT_TAKERS.values(), ids=REAL_INPUT_TAKERS.keys())
+def test_int_beyond_float_range_is_not_finite(call, message, value):
+    # each of these used to end in OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match="^" + message):
+        call(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
